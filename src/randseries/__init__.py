@@ -23,7 +23,6 @@ from .coefficients import (
     FinitePrefix,
     MeanSign,
     PatchedStream,
-    PatternStream,
     SequenceStream,
     parse_model,
 )

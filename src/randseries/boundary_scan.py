@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional, Union
 
 from .errors import BudgetExceededError, ConfigError
-from .series_eval import eval_to_eps
+from .series_eval import eval_to_eps, required_terms, term_budget
 
 __all__ = [
     "DEFAULT_EPS",
@@ -22,6 +22,7 @@ __all__ = [
     "ScanReport",
     "ScanRow",
     "Verdict",
+    "check_scan_budget",
     "scan",
     "verdict",
     "verdicts_by_depth",
@@ -91,6 +92,7 @@ class ScanRow:
     upper: float
     running_sup_lower: float
     running_inf_upper: float
+    rounding_slack: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -121,25 +123,39 @@ def _as_rule(eps: EpsRule) -> Callable[[float], float]:
 
 def scan(stream, grid: ScanGrid = ScanGrid(), eps: EpsRule = DEFAULT_EPS,
          *, budget: Optional[int] = None) -> ScanReport:
-    """One certified enclosure per grid point, with running certified extrema."""
+    """One certified enclosure per grid point, with running certified extrema.
+
+    The term budget is checked for every grid point before any evaluation.
+    """
+    check_scan_budget(stream.model.max_abs_float, grid, eps, budget=budget)
     rule = _as_rule(eps)
     rows = []
     sup_lower = -math.inf
     inf_upper = math.inf
     for m, delta in enumerate(grid.deltas()):
         x = 1.0 - delta
-        try:
-            bv = eval_to_eps(stream, x, rule(x), budget=budget)
-        except BudgetExceededError as exc:
-            raise BudgetExceededError(
-                exc.required, exc.budget, context=f"scan grid point m={m}, x={x!r}"
-            ) from None
+        bv = eval_to_eps(stream, x, rule(x), budget=budget)
         sup_lower = max(sup_lower, bv.lower)
         inf_upper = min(inf_upper, bv.upper)
         rows.append(ScanRow(m, x, delta, bv.n_terms, bv.value,
-                            bv.lower, bv.upper, sup_lower, inf_upper))
+                            bv.lower, bv.upper, sup_lower, inf_upper, bv.rounding_slack))
     label = repr(eps) if not callable(eps) else "custom"
     return ScanReport(grid, label, tuple(rows))
+
+
+def check_scan_budget(max_abs: float, grid: ScanGrid, eps: EpsRule,
+                      *, budget: Optional[int] = None) -> None:
+    """Raise BudgetExceededError unless every grid point fits the term budget.
+
+    The terms needed at a grid point depend only on (max|d|, x, eps), never on
+    the coefficients, so this decides for every stream of the model at once.
+    """
+    rule = _as_rule(eps)
+    limit = term_budget(budget)
+    for m, x in enumerate(grid.points()):
+        n = required_terms(max_abs, x, rule(x))
+        if n > limit:
+            raise BudgetExceededError(n, limit, context=f"scan grid point m={m}, x={x!r}")
 
 
 def _classify(rows: tuple[ScanRow, ...], threshold: float) -> Verdict:

@@ -12,15 +12,15 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import tempfile
-from fractions import Fraction
 from typing import Optional
 
 from . import __version__
 from .boundary_scan import ScanGrid, ScanReport, scan, verdict
-from .coefficients import FinitePrefix, SequenceStream, parse_model
+from .coefficients import FinitePrefix, SequenceStream, _to_fraction, parse_model
 from .combinatorics import verify_matching
 from .crossings import find_crossings
 from .errors import (
@@ -47,6 +47,14 @@ def _atomic_write(path: str, data: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _emit(doc: str, out: Optional[str]) -> None:
+    """Write a finished document to ``out`` atomically, or to stdout."""
+    if out:
+        _atomic_write(out, doc)
+    else:
+        sys.stdout.write(doc)
 
 
 def _provenance(config: dict) -> dict:
@@ -140,6 +148,10 @@ def _merged_config(command: str, ns: argparse.Namespace) -> dict:
         given = getattr(ns, key, None)
         if given is not None:
             merged[key] = given
+    for key, (typ, _default) in spec.items():
+        if typ is float and merged.get(key) is not None and not math.isfinite(merged[key]):
+            raise ConfigError(f"{command}: --{key.replace('_', '-')} must be finite, "
+                              f"got {merged[key]!r}")
     return merged
 
 
@@ -204,10 +216,7 @@ def _cmd_scan(ns) -> int:
     doc = _csv_document(merged,
                         ["m", "x", "N_used", "value", "lower", "upper",
                          "running_sup_lower", "running_inf_upper"], rows)
-    if merged["out"]:
-        _atomic_write(merged["out"], doc)
-    else:
-        sys.stdout.write(doc)
+    _emit(doc, merged["out"])
     if merged["svg"]:
         _atomic_write(merged["svg"], _scan_svg(report))
     print(f"verdict: {v.kind.value} (threshold {v.threshold})", file=sys.stderr)
@@ -230,10 +239,7 @@ def _cmd_estimate(ns) -> int:
     )
     report = estimate_properties(config)
     doc = _json_document(merged, report.data_dict())
-    if merged["out"]:
-        _atomic_write(merged["out"], doc)
-    else:
-        sys.stdout.write(doc)
+    _emit(doc, merged["out"])
     return 0
 
 
@@ -245,10 +251,7 @@ def _cmd_bijection(ns) -> int:
     n = int(_require(merged, "n", "bijection"))
     report = verify_matching(model, n)
     doc = _json_document(merged, report.to_data())
-    if merged["out"]:
-        _atomic_write(merged["out"], doc)
-    else:
-        sys.stdout.write(doc)
+    _emit(doc, merged["out"])
     ok = report.injective and report.sum_shift_exact and report.inverse_roundtrip
     print(f"bijection verify N={n}: {'ok' if ok else 'VIOLATIONS FOUND'} "
           f"(domain {report.matched_count}/{report.total_words})", file=sys.stderr)
@@ -279,10 +282,7 @@ def _cmd_orbit_check(ns) -> int:
         data["nonneg_index"] = w.nonneg_index
         data["nonpos_index"] = w.nonpos_index
     doc = _json_document(merged, data)
-    if merged["out"]:
-        _atomic_write(merged["out"], doc)
-    else:
-        sys.stdout.write(doc)
+    _emit(doc, merged["out"])
     return 0
 
 
@@ -308,10 +308,7 @@ def _cmd_crossings(ns) -> int:
     merged_echo["truncated"] = report.truncated
     rows = [[repr(b.a), repr(b.b), b.sign_at_a, b.depth_decade] for b in report.brackets]
     doc = _csv_document(merged_echo, ["a", "b", "sign_at_a", "depth_decade"], rows)
-    if merged["out"]:
-        _atomic_write(merged["out"], doc)
-    else:
-        sys.stdout.write(doc)
+    _emit(doc, merged["out"])
     print(f"crossings: {len(report.brackets)} certified bracket(s), "
           f"{len(report.indeterminate_points)} indeterminate cell(s)", file=sys.stderr)
     return 0
@@ -321,7 +318,7 @@ def _cmd_witness(ns) -> int:
     merged = _merged_config("witness", ns)
     model = _model_from(merged, "witness")
     raw = _require(merged, "prefix", "witness")
-    values = [Fraction(p.strip()) for p in raw.split(",") if p.strip()]
+    values = [_to_fraction(p, "prefix") for p in raw.split(",") if p.strip()]
     prefix = FinitePrefix.from_values(model, values)
     w = witness_positive(prefix, merged["target"], grid_size=merged["grid_size"])
     data = {
@@ -336,10 +333,7 @@ def _cmd_witness(ns) -> int:
         "margin": w.margin,
     }
     doc = _json_document(merged, data)
-    if merged["out"]:
-        _atomic_write(merged["out"], doc)
-    else:
-        sys.stdout.write(doc)
+    _emit(doc, merged["out"])
     return 0
 
 

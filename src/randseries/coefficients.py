@@ -25,7 +25,6 @@ __all__ = [
     "FinitePrefix",
     "MeanSign",
     "PatchedStream",
-    "PatternStream",
     "SequenceStream",
     "parse_model",
 ]
@@ -276,21 +275,60 @@ class FinitePrefix:
         return cls(model, tuple(model.index_of(v) for v in values))
 
 
-class SequenceStream:
-    """Deterministic infinite coefficient sequence keyed by (seed, sample index).
+class _Stream:
+    """Coefficient stream behaviour derived from the one primitive ``index_range``.
 
-    Immutable apart from an internal, monotonically growing cache of float
-    coefficients; regenerating any prefix yields bit-identical values.
+    Subclasses implement ``index_range``; prefixes, index arrays and the
+    cached float mirrors all come from it.
     """
+
+    def __init__(self, model: CoefficientModel):
+        self.model = model
+        self._floats = np.empty(0, dtype=np.float64)
+
+    def index_range(self, lo: int, hi: int) -> np.ndarray:
+        """Value indices of coefficients lo..hi-1 (1-based, half-open), as a new array."""
+        raise NotImplementedError
+
+    def index_at(self, n: int) -> int:
+        return int(self.index_range(n, n + 1)[0])
+
+    def index_array(self, n_terms: int) -> np.ndarray:
+        """Value indices of coefficients a_1..a_N as an array."""
+        return self.index_range(1, n_terms + 1)
+
+    def index_prefix(self, n_terms: int) -> tuple[int, ...]:
+        return tuple(int(i) for i in self.index_array(n_terms))
+
+    def prefix(self, n_terms: int) -> FinitePrefix:
+        if n_terms < 1:
+            raise ConfigError("prefix length must be >= 1")
+        return FinitePrefix(self.model, self.index_prefix(n_terms))
+
+    def float_coefficients(self, n_terms: int) -> np.ndarray:
+        """Float mirrors of coefficients a_1..a_N as a read-only array view.
+
+        The cache only grows; regenerating any prefix yields bit-identical values.
+        """
+        have = self._floats.shape[0]
+        if n_terms > have:
+            idx = self.index_range(have + 1, n_terms + 1)
+            grown = np.concatenate([self._floats, self.model.floats[idx]])
+            grown.flags.writeable = False
+            self._floats = grown
+        return self._floats[:n_terms]
+
+
+class SequenceStream(_Stream):
+    """Deterministic infinite coefficient sequence keyed by (seed, sample index)."""
 
     def __init__(self, model: CoefficientModel, master_seed: int, sample_index: int = 0):
         if sample_index < 0:
             raise ConfigError("sample_index must be nonnegative")
-        self.model = model
+        super().__init__(model)
         self.master_seed = int(master_seed)
         self.sample_index = int(sample_index)
         self._key = _mix64(_mix64(self.master_seed) ^ ((self.sample_index * _STREAM_SALT) & _MASK64))
-        self._floats = np.empty(0, dtype=np.float64)
 
     def __repr__(self):
         return (
@@ -303,93 +341,31 @@ class SequenceStream:
         return _mix64((self._key + n * _GOLDEN) & _MASK64)
 
     def index_at(self, n: int) -> int:
+        # scalar path, independent of the vectorised one
         return self.model._index_from_draw(self.draw_at(n))
 
     def value_at(self, n: int) -> Fraction:
         return self.model.values[self.index_at(n)]
 
-    def _indices_range(self, lo: int, hi: int) -> np.ndarray:
-        """Value indices for coefficients lo..hi-1 (1-based, half-open)."""
+    def index_range(self, lo: int, hi: int) -> np.ndarray:
         ns = np.arange(lo, hi, dtype=np.uint64)
         u = _mix64_array(np.uint64(self._key) + ns * np.uint64(_GOLDEN))
         return np.searchsorted(self.model._thresholds_array, u, side="right")
 
-    def index_array(self, n_terms: int) -> np.ndarray:
-        """Value indices of coefficients a_1..a_N as an array."""
-        return self._indices_range(1, n_terms + 1)
 
-    def float_coefficients(self, n_terms: int) -> np.ndarray:
-        """Float mirrors of coefficients a_1..a_N as a read-only array view."""
-        have = self._floats.shape[0]
-        if n_terms > have:
-            idx = self._indices_range(have + 1, n_terms + 1)
-            grown = np.concatenate([self._floats, self.model.floats[idx]])
-            grown.flags.writeable = False
-            self._floats = grown
-        return self._floats[:n_terms]
-
-    def index_prefix(self, n_terms: int) -> tuple[int, ...]:
-        return tuple(int(i) for i in self._indices_range(1, n_terms + 1))
-
-    def prefix(self, n_terms: int) -> FinitePrefix:
-        if n_terms < 1:
-            raise ConfigError("prefix length must be >= 1")
-        return FinitePrefix(self.model, self.index_prefix(n_terms))
-
-
-class PatternStream:
-    """Deterministic stream cycling a fixed pattern of value indices (test helper)."""
-
-    def __init__(self, model: CoefficientModel, pattern: Sequence[int]):
-        if not pattern:
-            raise ConfigError("empty pattern")
-        if any(not (0 <= i < model.k) for i in pattern):
-            raise ConfigError("pattern index outside the coefficient set")
-        self.model = model
-        self.pattern = tuple(int(i) for i in pattern)
-
-    def index_at(self, n: int) -> int:
-        return self.pattern[(n - 1) % len(self.pattern)]
-
-    def index_prefix(self, n_terms: int) -> tuple[int, ...]:
-        reps = -(-n_terms // len(self.pattern))
-        return (self.pattern * reps)[:n_terms]
-
-    def float_coefficients(self, n_terms: int) -> np.ndarray:
-        idx = np.array(self.index_prefix(n_terms), dtype=np.intp)
-        return self.model.floats[idx]
-
-    def prefix(self, n_terms: int) -> FinitePrefix:
-        return FinitePrefix(self.model, self.index_prefix(n_terms))
-
-
-class PatchedStream:
+class PatchedStream(_Stream):
     """A stream whose first coordinates are overridden by a fixed head."""
 
     def __init__(self, base, head_indices: Sequence[int]):
-        self.model = base.model
+        super().__init__(base.model)
         self.base = base
         self.head_indices = tuple(int(i) for i in head_indices)
         if any(not (0 <= i < self.model.k) for i in self.head_indices):
             raise ConfigError("head index outside the coefficient set")
 
-    def index_at(self, n: int) -> int:
-        if n <= len(self.head_indices):
-            return self.head_indices[n - 1]
-        return self.base.index_at(n)
-
-    def index_prefix(self, n_terms: int) -> tuple[int, ...]:
-        head = self.head_indices[:n_terms]
-        if n_terms <= len(head):
-            return head
-        return head + self.base.index_prefix(n_terms)[len(head):]
-
-    def float_coefficients(self, n_terms: int) -> np.ndarray:
-        out = np.array(self.base.float_coefficients(n_terms), dtype=np.float64, copy=True)
-        h = min(len(self.head_indices), n_terms)
-        if h:
-            out[:h] = self.model.floats[np.array(self.head_indices[:h], dtype=np.intp)]
+    def index_range(self, lo: int, hi: int) -> np.ndarray:
+        out = np.array(self.base.index_range(lo, hi), dtype=np.intp)
+        stop = min(len(self.head_indices), hi - 1)
+        if lo <= stop:
+            out[:stop - lo + 1] = self.head_indices[lo - 1:stop]
         return out
-
-    def prefix(self, n_terms: int) -> FinitePrefix:
-        return FinitePrefix(self.model, self.index_prefix(n_terms))

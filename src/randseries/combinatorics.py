@@ -20,10 +20,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .boundary_scan import DEFAULT_EPS, ScanGrid
+from .boundary_scan import DEFAULT_EPS, ScanGrid, scan
 from .coefficients import CoefficientModel, FinitePrefix, PatchedStream
 from .errors import BudgetExceededError, ConfigError
-from .series_eval import eval_to_eps
 
 __all__ = [
     "DEFAULT_WORD_BUDGET",
@@ -118,30 +117,27 @@ def _as_indices(model: CoefficientModel, word) -> tuple[int, ...]:
     return tuple(model.index_of(v) for v in word)
 
 
+def _apply_shift(move, model: CoefficientModel, word):
+    out = move(_as_indices(model, word))
+    if out is None:
+        return None
+    if isinstance(word, FinitePrefix):
+        return FinitePrefix(model, out)
+    return tuple(model.values[i] for i in out)
+
+
 def shift_up(model: CoefficientModel, word):
     """Matched word with coordinate sum raised by d_2 - d_1, or None.
 
     Accepts a FinitePrefix or any sequence of coefficient values (exact or
     float mirrors); returns the same kind of object.
     """
-    idx = _as_indices(model, word)
-    out = shift_up_indices(idx)
-    if out is None:
-        return None
-    if isinstance(word, FinitePrefix):
-        return FinitePrefix(model, out)
-    return tuple(model.values[i] for i in out)
+    return _apply_shift(shift_up_indices, model, word)
 
 
 def shift_down(model: CoefficientModel, word):
     """Matched word with coordinate sum lowered by d_2 - d_1, or None."""
-    idx = _as_indices(model, word)
-    out = shift_down_indices(idx)
-    if out is None:
-        return None
-    if isinstance(word, FinitePrefix):
-        return FinitePrefix(model, out)
-    return tuple(model.values[i] for i in out)
+    return _apply_shift(shift_down_indices, model, word)
 
 
 def _check_enumeration(model: CoefficientModel, n: int, budget: Optional[int]) -> int:
@@ -330,35 +326,28 @@ def shift_effect_on_scan(stream, n_head: int, grid: ScanGrid = ScanGrid(),
     shift_fr = model.values[1] - model.values[0]
     shift = float(shift_fr)
 
-    deltas = grid.deltas()
-    x0 = 1.0 - deltas[0]
+    x0 = 1.0 - grid.deltas()[0]
     band = sum(
         float(abs(model.values[b] - model.values[a])) * (1.0 - x0 ** (i + 1))
         for i, (a, b) in enumerate(zip(head, image)) if a != b
     )
 
-    twin = PatchedStream(stream, image)
+    original = scan(stream, grid, eps, budget=budget)
+    shifted = scan(PatchedStream(stream, image), grid, eps, budget=budget)
     rows = []
-    sup_o = sup_s = -float("inf")
-    inf_o = inf_s = float("inf")
-    for delta in deltas:
-        x = 1.0 - delta
-        bo = eval_to_eps(stream, x, eps, budget=budget)
-        bs = eval_to_eps(twin, x, eps, budget=budget)
-        sup_o = max(sup_o, bo.lower)
-        sup_s = max(sup_s, bs.lower)
-        inf_o = min(inf_o, bo.upper)
-        inf_s = min(inf_s, bs.upper)
-        diff = bs.value - bo.value
-        slack = bo.rounding_slack + bs.rounding_slack
+    for ro, rs in zip(original.rows, shifted.rows):
+        diff = rs.value - ro.value
+        slack = ro.rounding_slack + rs.rounding_slack
         rows.append(ShiftPointRow(
-            x=x, value_original=bo.value, value_shifted=bs.value,
+            x=ro.x, value_original=ro.value, value_shifted=rs.value,
             difference=diff, band=band, slack=slack,
             within=abs(diff - shift) <= band + slack,
         ))
     return ShiftScanReport(
         matched=True, n_head=n_head, flip_position=flip_pos, shift=shift_fr,
         rows=tuple(rows),
-        sup_lower_original=sup_o, sup_lower_shifted=sup_s,
-        inf_upper_original=inf_o, inf_upper_shifted=inf_s,
+        sup_lower_original=original.running_sup_lower,
+        sup_lower_shifted=shifted.running_sup_lower,
+        inf_upper_original=original.running_inf_upper,
+        inf_upper_shifted=shifted.running_inf_upper,
     )

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+from .errors import ConfigError
 from .series_eval import eval_to_eps
 
 __all__ = [
@@ -114,9 +115,9 @@ def find_crossings(stream, y: float, window: tuple[float, float], eps: float = 1
     """
     x_lo, x_hi = window
     if not (0.0 < x_lo < x_hi < 1.0):
-        raise ValueError(f"need 0 < x_lo < x_hi < 1, got {window!r}")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+        raise ConfigError(f"need 0 < x_lo < x_hi < 1, got {window!r}")
+    if not eps > 0:
+        raise ConfigError(f"eps must be positive, got {eps!r}")
 
     grid = _detection_grid(x_lo, x_hi)
     brackets: list[RootBracket] = []

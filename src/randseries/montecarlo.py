@@ -13,13 +13,13 @@ import math
 import multiprocessing
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .boundary_scan import ScanGrid, Verdict, scan, verdicts_by_depth
+from .boundary_scan import ScanGrid, Verdict, check_scan_budget, scan, verdicts_by_depth
 from .coefficients import CoefficientModel, MeanSign, SequenceStream
-from .errors import BudgetExceededError, ConfigError
+from .errors import ConfigError
 
 __all__ = [
     "DiagnosticRow",
@@ -109,15 +109,21 @@ def _histogram_data(counts: dict) -> dict:
     }
 
 
-def _estimate_one(args) -> tuple:
-    model, seed, index, grid, eps, threshold = args
-    stream = SequenceStream(model, seed, index)
-    try:
-        report = scan(stream, grid, eps)
-    except BudgetExceededError:
-        return ("budget", None, None, None)
-    per_depth = tuple(v.value for _, v in verdicts_by_depth(report, threshold))
-    return ("ok", per_depth, report.running_sup_lower, report.running_inf_upper)
+def _scan_samples(config: ExperimentConfig, grid: ScanGrid, thresholds: tuple) -> list:
+    """Scan every sample's stream; the budget is checked once, before any sample."""
+    check_scan_budget(config.model.max_abs_float, grid, config.eps)
+    args = [(config.model, config.master_seed, i, grid, config.eps, thresholds)
+            for i in range(config.num_samples)]
+    return _map_samples(_sample_kernel, args, config.workers)
+
+
+def _sample_kernel(args) -> tuple:
+    """Per-threshold verdict names at every depth, plus the certified running extrema."""
+    model, seed, index, grid, eps, thresholds = args
+    report = scan(SequenceStream(model, seed, index), grid, eps)
+    per_threshold = tuple(tuple(v.value for _, v in verdicts_by_depth(report, t))
+                          for t in thresholds)
+    return per_threshold, report.running_sup_lower, report.running_inf_upper
 
 
 @dataclass(frozen=True)
@@ -126,25 +132,27 @@ class EstimateReport:
     depths: tuple[float, ...]
     counts: dict
     counts_by_depth: tuple[dict, ...]
-    budget_errors: int
     hist_sup: dict
     hist_inf: dict
     calibration_note: str = _CALIBRATION_NOTE
 
+    # A budget overrun fails the whole run before any sample, so every sample
+    # completes; the field stays so the data section's field set is stable.
+    budget_errors: ClassVar[int] = 0
+
     @property
     def completed(self) -> int:
-        return self.config.num_samples - self.budget_errors
+        return self.config.num_samples
 
     def fraction(self, kind: Verdict) -> float:
-        return self.counts[kind.value] / self.completed if self.completed else 0.0
+        return self.counts[kind.value] / self.completed
 
     def wilson(self, kind: Verdict) -> tuple[float, float]:
         return wilson_interval(self.counts[kind.value], self.completed)
 
     def data_dict(self) -> dict:
         cfg = self.config
-        fractions = {k: v / self.completed if self.completed else 0.0
-                     for k, v in self.counts.items()}
+        fractions = {k: v / self.completed for k, v in self.counts.items()}
         intervals = {k: list(wilson_interval(v, self.completed))
                      for k, v in self.counts.items()}
         return {
@@ -172,20 +180,14 @@ class EstimateReport:
 def estimate_properties(config: ExperimentConfig) -> EstimateReport:
     """Scan + classify one stream per sample; aggregate verdict frequencies."""
     depths = tuple(config.grid.deltas())
-    args = [(config.model, config.master_seed, i, config.grid, config.eps, config.threshold)
-            for i in range(config.num_samples)]
-    outcomes = _map_samples(_estimate_one, args, config.workers)
+    outcomes = _scan_samples(config, config.grid, (config.threshold,))
 
     names = [v.value for v in Verdict]
     counts = {name: 0 for name in names}
     by_depth = [{name: 0 for name in names} for _ in depths]
     hist_sup: dict = {}
     hist_inf: dict = {}
-    budget_errors = 0
-    for status, per_depth, sup_f, inf_f in outcomes:
-        if status == "budget":
-            budget_errors += 1
-            continue
+    for (per_depth,), sup_f, inf_f in outcomes:
         counts[per_depth[-1]] += 1
         for slot, name in zip(by_depth, per_depth):
             slot[name] += 1
@@ -197,7 +199,6 @@ def estimate_properties(config: ExperimentConfig) -> EstimateReport:
         depths=depths,
         counts=counts,
         counts_by_depth=tuple(by_depth),
-        budget_errors=budget_errors,
         hist_sup=_histogram_data(hist_sup),
         hist_inf=_histogram_data(hist_inf),
     )
@@ -272,19 +273,6 @@ class DiagnosticRow:
     wilson_95: tuple[float, float]
 
 
-def _diagnostic_one(args) -> tuple:
-    model, seed, index, grid, eps, thresholds = args
-    stream = SequenceStream(model, seed, index)
-    try:
-        report = scan(stream, grid, eps)
-    except BudgetExceededError:
-        return ("budget", None)
-    table = {}
-    for t in thresholds:
-        table[t] = tuple(v.value for _, v in verdicts_by_depth(report, t))
-    return ("ok", table)
-
-
 def zero_one_diagnostic(config: ExperimentConfig, depths: Sequence[float],
                         thresholds: Sequence[float]) -> list[DiagnosticRow]:
     """Fraction showing the mean-sign-predicted verdict, per (depth, threshold).
@@ -295,13 +283,10 @@ def zero_one_diagnostic(config: ExperimentConfig, depths: Sequence[float],
     depths = sorted(set(float(d) for d in depths), reverse=True)
     if not depths:
         raise ConfigError("need at least one depth")
+    thresholds = tuple(thresholds)
     grid = config.grid.deepened(min(depths))
     grid_deltas = grid.deltas()
     predicted = _PREDICTED[config.model.mean_sign()]
-
-    args = [(config.model, config.master_seed, i, grid, config.eps, tuple(thresholds))
-            for i in range(config.num_samples)]
-    outcomes = _map_samples(_diagnostic_one, args, config.workers)
 
     # map each requested depth to the deepest grid row not exceeding it
     row_for_depth = {}
@@ -311,21 +296,17 @@ def zero_one_diagnostic(config: ExperimentConfig, depths: Sequence[float],
             raise ConfigError(f"depth {d} is shallower than the grid start")
         row_for_depth[d] = rows[-1]
 
+    outcomes = _scan_samples(config, grid, thresholds)
+    total = config.num_samples
     out = []
     for d in depths:
         row = row_for_depth[d]
-        for t in thresholds:
-            hits = 0
-            total = 0
-            for status, table in outcomes:
-                if status != "ok":
-                    continue
-                total += 1
-                if table[t][row] == predicted.value:
-                    hits += 1
+        for j, t in enumerate(thresholds):
+            hits = sum(per_threshold[j][row] == predicted.value
+                       for per_threshold, _sup, _inf in outcomes)
             out.append(DiagnosticRow(
                 depth=d, threshold=float(t), predicted=predicted.value,
-                hits=hits, samples=total, fraction=hits / total if total else 0.0,
+                hits=hits, samples=total, fraction=hits / total,
                 wilson_95=wilson_interval(hits, total),
             ))
     return out

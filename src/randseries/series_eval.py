@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .coefficients import FinitePrefix
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, ConfigError
 
 __all__ = [
     "BoundedValue",
@@ -33,6 +33,7 @@ __all__ = [
     "lower_bound_from_positive_walk",
     "partial_sums",
     "required_terms",
+    "rounding_slack",
     "tail_bound",
     "term_budget",
 ]
@@ -54,7 +55,10 @@ def term_budget(override: Optional[int] = None) -> int:
         return int(override)
     env = os.environ.get(TERM_BUDGET_ENV)
     if env:
-        return int(float(env))
+        try:
+            return int(float(env))
+        except (ValueError, OverflowError):
+            raise ConfigError(f"{TERM_BUDGET_ENV} must be a number, got {env!r}") from None
     return DEFAULT_TERM_BUDGET
 
 
@@ -87,7 +91,7 @@ class BoundedValue:
 def _check_x(x: float) -> float:
     x = float(x)
     if not (0.0 <= x < 1.0) or math.isnan(x):
-        raise ValueError(f"x must lie in [0, 1), got {x!r}")
+        raise ConfigError(f"x must lie in [0, 1), got {x!r}")
     return x
 
 
@@ -96,6 +100,16 @@ def tail_bound(max_abs: float, x: float, n_terms: int) -> float:
     if x <= 0.0 or max_abs == 0.0:
         return 0.0
     return max_abs * x ** (n_terms + 1) / (1.0 - x) * _INFLATE + _TINY
+
+
+def rounding_slack(n_terms: int, abs_sum: float) -> float:
+    """Bound 4 * N * eps_machine * sum|a_n x^n| on the float error of an N-term sum.
+
+    It dominates every float error source of the evaluations here: coefficient
+    mirroring, per-chunk power drift, products, and pairwise/compensated
+    accumulation.
+    """
+    return 4.0 * n_terms * _EPS * abs_sum + _TINY
 
 
 def _power_sum(coeffs: np.ndarray, x: float) -> tuple[float, float]:
@@ -120,12 +134,7 @@ def _power_sum(coeffs: np.ndarray, x: float) -> tuple[float, float]:
 
 
 def eval_truncated(stream, x: float, n_terms: int) -> BoundedValue:
-    """Evaluate the first N terms of the stream's series at x with certified radii.
-
-    The rounding slack 4 * N * eps_machine * sum|a_n x^n| dominates every float
-    error source here: coefficient mirroring, per-chunk power drift, products,
-    and pairwise/compensated accumulation.
-    """
+    """Evaluate the first N terms of the stream's series at x with certified radii."""
     x = _check_x(x)
     n_terms = int(n_terms)
     if n_terms < 1:
@@ -135,8 +144,8 @@ def eval_truncated(stream, x: float, n_terms: int) -> BoundedValue:
         return BoundedValue(x, n_terms, 0.0, 0.0, 0.0)
     coeffs = stream.float_coefficients(n_terms)
     value, abs_sum = _power_sum(coeffs, x)
-    slack = 4.0 * n_terms * _EPS * abs_sum + _TINY
-    return BoundedValue(x, n_terms, value, tail_bound(max_abs, x, n_terms), slack)
+    return BoundedValue(x, n_terms, value, tail_bound(max_abs, x, n_terms),
+                        rounding_slack(n_terms, abs_sum))
 
 
 def eval_prefix(prefix: FinitePrefix, x: float) -> BoundedValue:
@@ -145,15 +154,14 @@ def eval_prefix(prefix: FinitePrefix, x: float) -> BoundedValue:
     if x == 0.0:
         return BoundedValue(x, len(prefix), 0.0, 0.0, 0.0)
     value, abs_sum = _power_sum(prefix.floats, x)
-    slack = 4.0 * len(prefix) * _EPS * abs_sum + _TINY
-    return BoundedValue(x, len(prefix), value, 0.0, slack)
+    return BoundedValue(x, len(prefix), value, 0.0, rounding_slack(len(prefix), abs_sum))
 
 
 def required_terms(max_abs: float, x: float, eps: float) -> int:
     """Minimal N with the certified tail bound at most eps."""
     x = _check_x(x)
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
+    if not eps > 0.0:
+        raise ConfigError(f"eps must be positive, got {eps!r}")
     if x == 0.0 or max_abs == 0.0:
         return 1
     target = eps * (1.0 - x) / max_abs

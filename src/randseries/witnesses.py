@@ -19,6 +19,7 @@ import numpy as np
 
 from .coefficients import CoefficientModel, FinitePrefix
 from .errors import WitnessImpossibleError
+from .series_eval import rounding_slack
 
 __all__ = [
     "Cylinder",
@@ -77,8 +78,7 @@ def prefix_infimum(prefix: FinitePrefix, grid_size: int = DEFAULT_GRID_SIZE) -> 
     i = int(np.argmin(vals))
     estimate = float(vals[i])
     lipschitz = float(sum((n + 1) * abs(c) for n, c in enumerate(coeffs)))
-    abs_coeff_sum = float(np.abs(coeffs).sum())
-    eval_slack = 4.0 * len(prefix) * 2.0 ** -52 * abs_coeff_sum + 1e-300
+    eval_slack = rounding_slack(len(prefix), float(np.abs(coeffs).sum()))
     lower = _dn(estimate - _up(lipschitz / (2.0 * g)) - eval_slack)
     return PrefixInfimum(prefix, estimate, lower, float(xs[i]), g)
 

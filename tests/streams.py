@@ -1,0 +1,24 @@
+"""Deterministic streams for tests."""
+
+from typing import Sequence
+
+import numpy as np
+
+from randseries import ConfigError
+from randseries.coefficients import CoefficientModel, _Stream
+
+
+class PatternStream(_Stream):
+    """Deterministic stream cycling a fixed pattern of value indices."""
+
+    def __init__(self, model: CoefficientModel, pattern: Sequence[int]):
+        if not pattern:
+            raise ConfigError("empty pattern")
+        if any(not (0 <= i < model.k) for i in pattern):
+            raise ConfigError("pattern index outside the coefficient set")
+        super().__init__(model)
+        self.pattern = tuple(int(i) for i in pattern)
+
+    def index_range(self, lo: int, hi: int) -> np.ndarray:
+        cycle = np.array(self.pattern, dtype=np.intp)
+        return cycle[(np.arange(lo, hi) - 1) % len(cycle)]

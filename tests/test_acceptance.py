@@ -17,7 +17,6 @@ from randseries import (
     ExperimentConfig,
     FinitePrefix,
     PatchedStream,
-    PatternStream,
     ScanGrid,
     SequenceStream,
     Verdict,
@@ -38,6 +37,7 @@ from randseries import (
 )
 
 from .oracles import binomial, max_one_flip_domain
+from .streams import PatternStream
 
 M11 = parse_model("-1,1")
 M01 = parse_model("0,1")

@@ -5,7 +5,6 @@ import pytest
 from randseries import (
     BudgetExceededError,
     ConfigError,
-    PatternStream,
     ScanGrid,
     SequenceStream,
     Verdict,
@@ -15,6 +14,8 @@ from randseries import (
     verdicts_by_depth,
 )
 from randseries.boundary_scan import ScanReport, ScanRow, _classify
+
+from .streams import PatternStream
 
 M01 = parse_model("0,1")
 M11 = parse_model("-1,1")

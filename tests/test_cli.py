@@ -1,6 +1,9 @@
 import json
 import os
 
+import pytest
+
+from randseries import montecarlo
 from randseries.cli import run
 
 
@@ -178,6 +181,36 @@ class TestWitnessCommand:
 
     def test_impossible_witness_exit_two(self, capsys):
         assert run(["witness", "--set", "-1,0", "--prefix", "0", "--target", "1"]) == 2
+
+
+class TestFailFast:
+    @pytest.mark.parametrize("argv,env", [
+        (["orbit-check", "--set", "-1,1", "--x", "1.5"], {}),
+        (["witness", "--set", "-1,1", "--prefix", "a,b"], {}),
+        (["witness", "--set", "-1,1", "--prefix", "1", "--target", "inf"], {}),
+        (["crossings", "--set", "-1,1", "--eps", "0"], {}),
+        (["scan", "--set", "-1,1", "--eps", "nan"], {}),
+        (["scan", "--set", "-1,1", "--depth", "1e-2"], {"RANDSERIES_TERM_BUDGET": "abc"}),
+    ])
+    def test_invalid_input_exit_two(self, argv, env, monkeypatch, capsys):
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_estimate_over_budget_exit_three_before_sampling(self, monkeypatch, capsys):
+        def no_scan(*args, **kwargs):
+            raise AssertionError("a sample was scanned")
+
+        monkeypatch.setattr(montecarlo, "scan", no_scan)
+        assert run(["estimate", "--set", "-1,1", "--samples", "4", "--workers", "1",
+                    "--depth", "1e-9"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "required" in captured.err
 
 
 class TestAtomicWrites:

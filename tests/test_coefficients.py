@@ -9,10 +9,11 @@ from randseries import (
     ConfigError,
     MeanSign,
     PatchedStream,
-    PatternStream,
     SequenceStream,
     parse_model,
 )
+
+from .streams import PatternStream
 
 
 def model_of(*values, weights=None):

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from randseries import (
     BudgetExceededError,
     ConfigError,
-    PatternStream,
     PositionClass,
     ScanGrid,
     SequenceStream,
@@ -22,6 +21,7 @@ from randseries import (
 from randseries.combinatorics import shift_down_indices, shift_up_indices
 
 from .oracles import binomial, max_one_flip_domain
+from .streams import PatternStream
 
 M11 = parse_model("-1,1")
 M3 = parse_model("-1,0,1")

@@ -1,12 +1,13 @@
 import pytest
 
 from randseries import (
-    PatternStream,
     SequenceStream,
     crossing_counts_by_depth,
     find_crossings,
     parse_model,
 )
+
+from .streams import PatternStream
 
 M01 = parse_model("0,1")
 M11 = parse_model("-1,1")

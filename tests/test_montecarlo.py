@@ -4,7 +4,9 @@ import warnings
 import pytest
 from scipy import stats
 
+from randseries import montecarlo
 from randseries import (
+    BudgetExceededError,
     ConfigError,
     ExperimentConfig,
     ScanGrid,
@@ -89,11 +91,16 @@ class TestEstimateProperties:
         assert plus.counts["OscillationLike"] == minus.counts["OscillationLike"]
         assert plus.counts["Inconclusive"] == minus.counts["Inconclusive"]
 
-    def test_budget_errors_counted_not_fatal(self, monkeypatch):
+    def test_budget_overrun_raises_before_sampling(self, monkeypatch):
+        def no_scan(*args, **kwargs):
+            raise AssertionError("a sample was scanned")
+
         monkeypatch.setenv("RANDSERIES_TERM_BUDGET", "100")
-        report = estimate_properties(small_config(M11, samples=5))
-        assert report.budget_errors == 5
-        assert report.completed == 0
+        monkeypatch.setattr(montecarlo, "scan", no_scan)
+        with pytest.raises(BudgetExceededError):
+            estimate_properties(small_config(M11, samples=5))
+        with pytest.raises(BudgetExceededError):
+            zero_one_diagnostic(small_config(M11, samples=5), [1e-3], [1.0])
 
     def test_histograms_cover_samples(self):
         report = estimate_properties(small_config(M11))

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from randseries import (
     BudgetExceededError,
     SequenceStream,
-    PatternStream,
     eval_abel_form,
     eval_prefix,
     eval_to_eps,
@@ -18,6 +17,8 @@ from randseries import (
     required_terms,
     tail_bound,
 )
+
+from .streams import PatternStream
 
 M01 = parse_model("0,1")
 M11 = parse_model("-1,1")

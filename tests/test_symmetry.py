@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from randseries import (
-    PatternStream,
     PreconditionError,
     SequenceStream,
     apply_perm,
@@ -13,6 +12,8 @@ from randseries import (
     parse_model,
     sign_witness,
 )
+
+from .streams import PatternStream
 
 M3 = parse_model("-1,0,1")
 M11 = parse_model("-1,1")

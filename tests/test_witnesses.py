@@ -6,7 +6,6 @@ import pytest
 from randseries import (
     FinitePrefix,
     PatchedStream,
-    PatternStream,
     SequenceStream,
     WitnessImpossibleError,
     eval_truncated,
@@ -15,6 +14,8 @@ from randseries import (
     witness_nonzero_coordinate,
     witness_positive,
 )
+
+from .streams import PatternStream
 
 M11 = parse_model("-1,1")
 M01 = parse_model("0,1")
