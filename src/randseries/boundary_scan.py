@@ -109,10 +109,6 @@ class ScanReport:
     def running_inf_upper(self) -> float:
         return self.rows[-1].running_inf_upper
 
-    def truncated_at_depth(self, depth: float) -> tuple[ScanRow, ...]:
-        """Rows restricted to grid points with 1-x >= depth (a prefix of rows)."""
-        return tuple(r for r in self.rows if r.delta >= depth * (1.0 - _REL_FUZZ))
-
 
 def _as_rule(eps: EpsRule) -> Callable[[float], float]:
     if callable(eps):

@@ -125,10 +125,6 @@ class CoefficientModel:
         return arr
 
     @cached_property
-    def is_uniform(self) -> bool:
-        return len(set(self.weights)) == 1
-
-    @cached_property
     def max_abs(self) -> Fraction:
         return max(abs(v) for v in self.values)
 
@@ -262,14 +258,6 @@ class FinitePrefix:
         arr.flags.writeable = False
         return arr
 
-    def float_coefficients(self, n_terms: int) -> np.ndarray:
-        if n_terms > len(self.indices):
-            raise ValueError(f"prefix has only {len(self.indices)} coordinates")
-        return self.floats[:n_terms]
-
-    def head(self, n_terms: int) -> "FinitePrefix":
-        return FinitePrefix(self.model, self.indices[:n_terms])
-
     @classmethod
     def from_values(cls, model: CoefficientModel, values: Sequence) -> "FinitePrefix":
         return cls(model, tuple(model.index_of(v) for v in values))
@@ -343,9 +331,6 @@ class SequenceStream(_Stream):
     def index_at(self, n: int) -> int:
         # scalar path, independent of the vectorised one
         return self.model._index_from_draw(self.draw_at(n))
-
-    def value_at(self, n: int) -> Fraction:
-        return self.model.values[self.index_at(n)]
 
     def index_range(self, lo: int, hi: int) -> np.ndarray:
         ns = np.arange(lo, hi, dtype=np.uint64)

@@ -18,7 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
+
+import numpy as np
 
 from .boundary_scan import DEFAULT_EPS, ScanGrid, scan
 from .coefficients import CoefficientModel, FinitePrefix, PatchedStream
@@ -76,37 +78,39 @@ def position_class(model: CoefficientModel, word) -> PositionClass:
     return PositionClass(len(idx), movable, fixed)
 
 
-def _unmatched_positions(indices: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Positions of unmatched d_1's (openings) and d_2's (closings), ascending."""
-    open_stack: list[int] = []
-    unmatched_closings: list[int] = []
-    for pos, ix in enumerate(indices):
-        if ix == 0:
-            open_stack.append(pos)
-        elif ix == 1:
-            if open_stack:
-                open_stack.pop()
-            else:
-                unmatched_closings.append(pos)
-    return open_stack, unmatched_closings
+def _flips(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of a (W, N) array of value indices: 0-based positions of the leftmost
+    unmatched d_1 and of the rightmost unmatched d_2, or -1 when there is none.
+
+    With B_q the balance after q letters (+1 for d_1, -1 for d_2, B_0 = 0) and
+    m its minimum, every d_1 after the last q with B_q = m stays unmatched and
+    every earlier one is closed; the unmatched d_2's are the letters that reach
+    a new minimum, the rightmost of them ending at the first q with B_q = m.
+    """
+    n = words.shape[1]
+    # the narrowest signed type holding every balance in [-N, N]
+    dtype = np.min_scalar_type(-n - 1)
+    balance = np.zeros((words.shape[0], n + 1), dtype=dtype)
+    np.cumsum((words == 0).astype(dtype) - (words == 1), axis=1, out=balance[:, 1:])
+    at_min = balance == balance.min(axis=1, keepdims=True)
+    last = n - at_min[:, ::-1].argmax(axis=1)
+    first = at_min.argmax(axis=1)
+    return np.where(last < n, last, -1), first - 1
+
+
+def _flip_one(indices: tuple[int, ...], side: int, ix: int) -> Optional[tuple[int, ...]]:
+    flip = int(_flips(np.array([indices], dtype=np.intp))[side][0])
+    return None if flip < 0 else indices[:flip] + (ix,) + indices[flip + 1:]
 
 
 def shift_up_indices(indices: tuple[int, ...]) -> Optional[tuple[int, ...]]:
     """Index-level shift_up; None when the word is unmatched."""
-    opens, _ = _unmatched_positions(indices)
-    if not opens:
-        return None
-    flip = opens[0]
-    return indices[:flip] + (1,) + indices[flip + 1:]
+    return _flip_one(indices, 0, 1)
 
 
 def shift_down_indices(indices: tuple[int, ...]) -> Optional[tuple[int, ...]]:
     """Index-level shift_down (inverse of shift_up); None when unmatched."""
-    _, closings = _unmatched_positions(indices)
-    if not closings:
-        return None
-    flip = closings[-1]
-    return indices[:flip] + (0,) + indices[flip + 1:]
+    return _flip_one(indices, 1, 0)
 
 
 def _as_indices(model: CoefficientModel, word) -> tuple[int, ...]:
@@ -140,43 +144,23 @@ def shift_down(model: CoefficientModel, word):
     return _apply_shift(shift_down_indices, model, word)
 
 
-def _check_enumeration(model: CoefficientModel, n: int, budget: Optional[int]) -> int:
+def _all_words(model: CoefficientModel, n: int, budget: Optional[int]) -> np.ndarray:
+    """All k^N index words as rows of a (k^N, N) array, in lexicographic order."""
+    if n < 1:
+        raise ConfigError(f"word length N must be >= 1, got {n}")
     total = model.k ** n
     limit = DEFAULT_WORD_BUDGET if budget is None else budget
     if total > limit:
         raise BudgetExceededError(total, limit, context=f"enumerating k^N words at N={n}")
-    return total
-
-
-def _iter_words(k: int, n: int):
-    """All index words of length n over alphabet 0..k-1, lexicographic."""
-    word = [0] * n
-    while True:
-        yield tuple(word)
-        pos = n - 1
-        while pos >= 0 and word[pos] == k - 1:
-            word[pos] = 0
-            pos -= 1
-        if pos < 0:
-            return
-        word[pos] += 1
+    dtype = np.min_scalar_type(model.k - 1)
+    return np.indices((model.k,) * n, dtype=dtype).reshape(n, -1).T
 
 
 def domain_fraction(model: CoefficientModel, n: int, *, budget: Optional[int] = None) -> Fraction:
     """Exact matched fraction #dom(shift_up) / k^N by exhaustive enumeration."""
-    total = _check_enumeration(model, n, budget)
-    matched = 0
-    for word in _iter_words(model.k, n):
-        # matched iff at least one unmatched opening symbol survives
-        bal = 0
-        for ix in word:
-            if ix == 0:
-                bal += 1
-            elif ix == 1 and bal > 0:
-                bal -= 1
-        if bal > 0:
-            matched += 1
-    return Fraction(matched, total)
+    words = _all_words(model, n, budget)
+    up, _ = _flips(words)
+    return Fraction(int(np.count_nonzero(up >= 0)), len(words))
 
 
 @dataclass(frozen=True)
@@ -214,67 +198,56 @@ def verify_matching(model: CoefficientModel, n: int, *, budget: Optional[int] = 
     """Exhaustively check injectivity, the exact sum shift, inversion, and the
     weight-monotonicity of flips (probability multiplies by p2/p1 >= 1 when
     p2 >= p1), over all k^N words."""
-    total = _check_enumeration(model, n, budget)
-    values = model.values
-    weights = model.weights
-    d_shift = values[1] - values[0]
-    ratio = weights[1] / weights[0]
+    all_words = _all_words(model, n, budget)
+    k = model.k
+    up, _ = _flips(all_words)
+    rows = np.flatnonzero(up >= 0)
+    words = all_words[rows]
+    at = np.arange(len(rows))
+    image = words.copy()
+    image[at, up[rows]] = 1
 
-    matched = 0
-    injective = True
-    sum_ok = True
-    inv_ok = True
-    measure_ok = True
-    seen: set = set()
-    violations: list[tuple] = []
+    codes = np.ravel_multi_index(image.T, (k,) * n)
+    repeated = np.ones(len(rows), dtype=bool)
+    repeated[np.unique(codes, return_index=True)[1]] = False
 
-    def note(kind: str, word: tuple[int, ...]):
-        if len(violations) < max_violations:
-            violations.append((kind, word))
+    # Sums wrap modulo 2^64, which can never turn an exact shift into a violation.
+    ints = model.integer_scaled()[0]
+    scaled = np.array([v % (1 << 64) for v in ints], dtype=np.uint64)
+    shift = np.uint64((ints[1] - ints[0]) % (1 << 64))
+    sum_ok = scaled[image].sum(axis=1) - scaled[words].sum(axis=1) == shift
 
-    for word in _iter_words(model.k, n):
-        image = shift_up_indices(word)
-        if image is None:
-            continue
-        matched += 1
-        if image in seen:
-            injective = False
-            note("injectivity", word)
-        else:
-            seen.add(image)
-        delta = sum(values[b] - values[a] for a, b in zip(word, image) if a != b)
-        if delta != d_shift:
-            sum_ok = False
-            note("sum_shift", word)
-        if shift_down_indices(image) != word:
-            inv_ok = False
-            note("inverse", word)
-        # the flip replaces one d_1 by d_2, so P scales by exactly p2/p1
-        p_word = _word_probability(weights, word)
-        p_image = _word_probability(weights, image)
-        if p_image != p_word * ratio or (ratio >= 1 and p_image < p_word):
-            measure_ok = False
-            note("measure", word)
+    _, down = _flips(image)
+    back = image.copy()
+    back[at, down] = 0
+    inv_ok = (down >= 0) & (back == words).all(axis=1)
 
+    # one d_1 becomes d_2 and no other count moves, so P scales by exactly p2/p1
+    expected = {0: -1, 1: 1}
+    measure_ok = np.all([(image == s).sum(axis=1) - (words == s).sum(axis=1) == expected.get(s, 0)
+                         for s in range(k)], axis=0)
+
+    flagged = []
+    for kind, bad in (("injectivity", repeated), ("sum_shift", ~sum_ok),
+                      ("inverse", ~inv_ok), ("measure", ~measure_ok)):
+        flagged.extend((int(r), kind) for r in np.flatnonzero(bad)[:max_violations])
+    flagged.sort(key=lambda v: v[0])
+    violations = tuple((kind, tuple(int(i) for i in words[r]))
+                       for r, kind in flagged[:max_violations])
+
+    ratio = model.weights[1] / model.weights[0]
     return MatchingReport(
         n=n,
-        total_words=total,
-        matched_count=matched,
-        fraction=Fraction(matched, total),
-        injective=injective,
-        sum_shift_exact=sum_ok,
-        inverse_roundtrip=inv_ok,
+        total_words=len(all_words),
+        matched_count=len(rows),
+        fraction=Fraction(len(rows), len(all_words)),
+        injective=not repeated.any(),
+        sum_shift_exact=bool(sum_ok.all()),
+        inverse_roundtrip=bool(inv_ok.all()),
         measure_ratio=ratio,
         measure_monotone=ratio >= 1,
-        violations=tuple(violations),
+        violations=violations,
     )
-
-
-def _word_probability(weights: tuple[Fraction, ...], word: tuple[int, ...]) -> Fraction:
-    p = Fraction(1)
-    for ix in word:
-        p *= weights[ix]
-    return p
 
 
 @dataclass(frozen=True)
@@ -319,7 +292,7 @@ def shift_effect_on_scan(stream, n_head: int, grid: ScanGrid = ScanGrid(),
     """
     model = stream.model
     head = stream.index_prefix(n_head)
-    image = shift_up_indices(tuple(head))
+    image = shift_up_indices(head)
     if image is None:
         return ShiftScanReport(matched=False, n_head=n_head, flip_position=None, shift=None)
     flip_pos = next(i for i, (a, b) in enumerate(zip(head, image)) if a != b) + 1
@@ -327,10 +300,7 @@ def shift_effect_on_scan(stream, n_head: int, grid: ScanGrid = ScanGrid(),
     shift = float(shift_fr)
 
     x0 = 1.0 - grid.deltas()[0]
-    band = sum(
-        float(abs(model.values[b] - model.values[a])) * (1.0 - x0 ** (i + 1))
-        for i, (a, b) in enumerate(zip(head, image)) if a != b
-    )
+    band = float(abs(shift_fr)) * (1.0 - x0 ** flip_pos)
 
     original = scan(stream, grid, eps, budget=budget)
     shifted = scan(PatchedStream(stream, image), grid, eps, budget=budget)

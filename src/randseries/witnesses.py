@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .coefficients import CoefficientModel, FinitePrefix
-from .errors import WitnessImpossibleError
+from .errors import ConfigError, PreconditionError, WitnessImpossibleError
 from .series_eval import rounding_slack
 
 __all__ = [
@@ -64,10 +64,10 @@ def prefix_infimum(prefix: FinitePrefix, grid_size: int = DEFAULT_GRID_SIZE) -> 
     minimum minus L/(2G) lies below the infimum over the open interval.
     """
     if len(prefix) < 1:
-        raise ValueError("prefix must have at least one coordinate")
+        raise ConfigError("prefix must have at least one coordinate")
     g = int(grid_size)
     if g < 1:
-        raise ValueError("grid_size must be positive")
+        raise ConfigError(f"grid_size must be >= 1, got {g}")
     coeffs = prefix.floats
     xs = np.arange(g + 1, dtype=np.float64) / g
     vals = np.zeros_like(xs)
@@ -131,6 +131,8 @@ def witness_positive(prefix: FinitePrefix, m: float, *,
     Raises:
         WitnessImpossibleError: when max(D) <= 0, so no padding can force
             arbitrarily large values.
+        PreconditionError: when no x on the ladder certifies the target, as
+            for targets near the largest float.
     """
     model = prefix.model
     max_d = model.max_value
@@ -158,7 +160,8 @@ def witness_positive(prefix: FinitePrefix, m: float, *,
             t = t_try
             break
     if t is None:
-        raise RuntimeError("x-search ladder exhausted; certificate unreachable in binary64")
+        raise PreconditionError(f"no x = 1 - 2^-t with t <= {_MAX_T_EXPONENT} "
+                                f"certifies target {m} in binary64")
     x = 1.0 - 2.0 ** -t
 
     min_d = model.min_value

@@ -3,7 +3,8 @@
 The matching oracle computes maximum bipartite matchings between adjacent
 Hamming levels of {0,1}^n with Hopcroft-Karp augmenting paths; summing over
 level pairs gives the largest possible domain of any injective one-flip
-sum-raising map, without reference to bracket matching.
+sum-raising map, without reference to bracket matching.  The bracket oracle
+matches d_1/d_2 letters with an explicit stack.
 """
 
 from __future__ import annotations
@@ -84,6 +85,25 @@ def max_one_flip_domain(n: int) -> int:
     for mask in range(1 << n):
         levels[bin(mask).count("1")].append(mask)
     return sum(_hk_matching_size(levels[j]) for j in range(1, n + 1))
+
+
+def unmatched_positions(indices) -> tuple[list[int], list[int]]:
+    """Positions of unmatched d_1's (openings) and d_2's (closings), ascending.
+
+    Stack-based bracket matching, one letter at a time: the reference for the
+    library's balance-minimum rule.
+    """
+    open_stack: list[int] = []
+    unmatched_closings: list[int] = []
+    for pos, ix in enumerate(indices):
+        if ix == 0:
+            open_stack.append(pos)
+        elif ix == 1:
+            if open_stack:
+                open_stack.pop()
+            else:
+                unmatched_closings.append(pos)
+    return open_stack, unmatched_closings
 
 
 def binomial(n: int, k: int) -> int:

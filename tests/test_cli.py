@@ -1,8 +1,12 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import randseries
 from randseries import montecarlo
 from randseries.cli import run
 
@@ -191,6 +195,12 @@ class TestFailFast:
         (["crossings", "--set", "-1,1", "--eps", "0"], {}),
         (["scan", "--set", "-1,1", "--eps", "nan"], {}),
         (["scan", "--set", "-1,1", "--depth", "1e-2"], {"RANDSERIES_TERM_BUDGET": "abc"}),
+        (["bijection", "verify", "--set", "-1,1", "--n", "-1"], {}),
+        (["bijection", "verify", "--set", "-1,1", "--n", "0"], {}),
+        (["witness", "--set", "-1,1", "--prefix", "1", "--grid-size", "0"], {}),
+        (["witness", "--set", "-1,1", "--prefix", "1", "--grid-size", "-5"], {}),
+        (["witness", "--set", "-1,1", "--prefix", "1", "--target", "1e308"], {}),
+        (["witness", "--set", "-1,1", "--prefix", ","], {}),
     ])
     def test_invalid_input_exit_two(self, argv, env, monkeypatch, capsys):
         for key, value in env.items():
@@ -211,6 +221,26 @@ class TestFailFast:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert "required" in captured.err
+
+
+class TestModuleEntryPoint:
+    @staticmethod
+    def run_module(*args):
+        env = dict(os.environ)
+        src = str(Path(randseries.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        return subprocess.run([sys.executable, "-m", "randseries.cli", *args],
+                              capture_output=True, text=True, env=env, timeout=120)
+
+    def test_bijection_verify_prints_report(self):
+        proc = self.run_module("bijection", "verify", "--set", "-1,1", "--n", "4")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["data"]["matched_count"] == 10
+
+    def test_invalid_length_exit_two(self):
+        proc = self.run_module("bijection", "verify", "--set", "-1,1", "--n", "0")
+        assert proc.returncode == 2
+        assert proc.stdout == "" and proc.stderr.startswith("error: ")
 
 
 class TestAtomicWrites:

@@ -1,6 +1,8 @@
+import random
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,9 +20,10 @@ from randseries import (
     shift_up,
     verify_matching,
 )
+from randseries import combinatorics
 from randseries.combinatorics import shift_down_indices, shift_up_indices
 
-from .oracles import binomial, max_one_flip_domain
+from .oracles import binomial, max_one_flip_domain, unmatched_positions
 from .streams import PatternStream
 
 M11 = parse_model("-1,1")
@@ -90,6 +93,33 @@ class TestPositionClass:
                 assert image.indices[pos - 1] == ix
 
 
+def _reference_up(word):
+    opens, _ = unmatched_positions(word)
+    return word[:opens[0]] + (1,) + word[opens[0] + 1:] if opens else None
+
+
+def _reference_down(word):
+    _, closings = unmatched_positions(word)
+    return word[:closings[-1]] + (0,) + word[closings[-1] + 1:] if closings else None
+
+
+class TestBracketOracle:
+    @pytest.mark.parametrize("k,n_max", [(2, 10), (3, 7), (4, 5)])
+    def test_every_short_word(self, k, n_max):
+        for n in range(1, n_max + 1):
+            for word in product(range(k), repeat=n):
+                assert shift_up_indices(word) == _reference_up(word)
+                assert shift_down_indices(word) == _reference_down(word)
+
+    def test_seeded_random_words(self):
+        rng = random.Random(20170912)
+        for _ in range(3000):
+            k = rng.choice((2, 3, 4))
+            word = tuple(rng.randrange(k) for _ in range(rng.randint(1, 80)))
+            assert shift_up_indices(word) == _reference_up(word)
+            assert shift_down_indices(word) == _reference_down(word)
+
+
 class TestInversePairing:
     @pytest.mark.parametrize("k,n", [(2, 6), (2, 8), (3, 5)])
     def test_roundtrip_on_domain(self, k, n):
@@ -125,6 +155,10 @@ class TestDomainFraction:
         with pytest.raises(BudgetExceededError):
             domain_fraction(M11, 40)
 
+    def test_empty_word_rejected(self):
+        with pytest.raises(ConfigError):
+            domain_fraction(M11, 0)
+
     @pytest.mark.parametrize("n", range(2, 9))
     def test_matches_independent_matching_oracle(self, n):
         matched = domain_fraction(M11, n) * 2 ** n
@@ -155,6 +189,34 @@ class TestVerifyMatching:
         data = verify_matching(M11, 4).to_data()
         assert data["domain_fraction"] == "5/8"
         assert data["matched_count"] == 10
+
+
+def _flip_first_letter(real):
+    """A broken matching: every matched word flips position 0, whatever it holds."""
+    def flips(words):
+        up, down = real(words)
+        return np.where(up >= 0, 0, -1), down
+    return flips
+
+
+class TestVerifyMatchingViolations:
+    KINDS = ("injectivity", "sum_shift", "inverse", "measure")
+
+    def test_each_kind_reported(self, monkeypatch):
+        monkeypatch.setattr(combinatorics, "_flips", _flip_first_letter(combinatorics._flips))
+        report = verify_matching(M11, 2)
+        # domain {00, 10}: 00 -> 10 is sound; 10 -> 10 repeats that image,
+        # moves no value and does not invert back to itself
+        assert [tuple(v) for v in report.violations] == [(kind, (1, 0)) for kind in self.KINDS]
+        assert not (report.injective or report.sum_shift_exact or report.inverse_roundtrip)
+
+    def test_word_order_then_kind_and_cut(self, monkeypatch):
+        monkeypatch.setattr(combinatorics, "_flips", _flip_first_letter(combinatorics._flips))
+        full = verify_matching(M3, 4, max_violations=10 ** 6).violations
+        assert len(full) > 5
+        order = [(word, self.KINDS.index(kind)) for kind, word in full]
+        assert order == sorted(order) and len(set(order)) == len(order)
+        assert verify_matching(M3, 4, max_violations=5).violations == full[:5]
 
 
 class TestWordProperties:
