@@ -10,10 +10,10 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
-from .errors import BudgetExceededError, ConfigError
-from .series_eval import eval_to_eps, required_terms, term_budget
+from .errors import ConfigError
+from .series_eval import check_term_budget, eval_to_eps
 
 __all__ = [
     "DEFAULT_EPS",
@@ -22,7 +22,6 @@ __all__ = [
     "ScanReport",
     "ScanRow",
     "Verdict",
-    "check_scan_budget",
     "scan",
     "verdict",
     "verdicts_by_depth",
@@ -117,41 +116,26 @@ def _as_rule(eps: EpsRule) -> Callable[[float], float]:
     return lambda _x: value
 
 
-def scan(stream, grid: ScanGrid = ScanGrid(), eps: EpsRule = DEFAULT_EPS,
-         *, budget: Optional[int] = None) -> ScanReport:
+def scan(stream, grid: ScanGrid = ScanGrid(), eps: EpsRule = DEFAULT_EPS) -> ScanReport:
     """One certified enclosure per grid point, with running certified extrema.
 
     The term budget is checked for every grid point before any evaluation.
     """
-    check_scan_budget(stream.model.max_abs_float, grid, eps, budget=budget)
     rule = _as_rule(eps)
+    check_term_budget(stream.model.max_abs_float,
+                      ((x, rule(x)) for x in grid.points()), "scan grid")
     rows = []
     sup_lower = -math.inf
     inf_upper = math.inf
     for m, delta in enumerate(grid.deltas()):
         x = 1.0 - delta
-        bv = eval_to_eps(stream, x, rule(x), budget=budget)
+        bv = eval_to_eps(stream, x, rule(x))
         sup_lower = max(sup_lower, bv.lower)
         inf_upper = min(inf_upper, bv.upper)
         rows.append(ScanRow(m, x, delta, bv.n_terms, bv.value,
                             bv.lower, bv.upper, sup_lower, inf_upper, bv.rounding_slack))
     label = repr(eps) if not callable(eps) else "custom"
     return ScanReport(grid, label, tuple(rows))
-
-
-def check_scan_budget(max_abs: float, grid: ScanGrid, eps: EpsRule,
-                      *, budget: Optional[int] = None) -> None:
-    """Raise BudgetExceededError unless every grid point fits the term budget.
-
-    The terms needed at a grid point depend only on (max|d|, x, eps), never on
-    the coefficients, so this decides for every stream of the model at once.
-    """
-    rule = _as_rule(eps)
-    limit = term_budget(budget)
-    for m, x in enumerate(grid.points()):
-        n = required_terms(max_abs, x, rule(x))
-        if n > limit:
-            raise BudgetExceededError(n, limit, context=f"scan grid point m={m}, x={x!r}")
 
 
 def _classify(rows: tuple[ScanRow, ...], threshold: float) -> Verdict:

@@ -30,6 +30,7 @@ from .errors import (
     WitnessImpossibleError,
 )
 from .montecarlo import ExperimentConfig, estimate_properties
+from .series_eval import check_terms
 from .symmetry import orbit_sum, orbit_values, sign_witness
 from .witnesses import witness_positive
 
@@ -244,8 +245,6 @@ def _cmd_estimate(ns) -> int:
 
 
 def _cmd_bijection(ns) -> int:
-    if ns.action != "verify":
-        raise ConfigError(f"unknown bijection action {ns.action!r}")
     merged = _merged_config("bijection", ns)
     model = _model_from(merged, "bijection")
     n = int(_require(merged, "n", "bijection"))
@@ -262,6 +261,7 @@ def _cmd_orbit_check(ns) -> int:
     merged = _merged_config("orbit-check", ns)
     model = _model_from(merged, "orbit-check")
     stream = SequenceStream(model, merged["seed"], merged["index"])
+    check_terms(merged["n"], "orbit-check --n")
     prefix = stream.prefix(merged["n"])
     x = merged["x"]
     vals = orbit_values(prefix, x)

@@ -41,6 +41,7 @@ __all__ = [
     "verify_matching",
 ]
 
+# Counts the k^N * N cells of the word array, so it bounds the memory of every pass.
 DEFAULT_WORD_BUDGET = 50_000_000
 
 
@@ -144,21 +145,21 @@ def shift_down(model: CoefficientModel, word):
     return _apply_shift(shift_down_indices, model, word)
 
 
-def _all_words(model: CoefficientModel, n: int, budget: Optional[int]) -> np.ndarray:
+def _all_words(model: CoefficientModel, n: int) -> np.ndarray:
     """All k^N index words as rows of a (k^N, N) array, in lexicographic order."""
     if n < 1:
         raise ConfigError(f"word length N must be >= 1, got {n}")
-    total = model.k ** n
-    limit = DEFAULT_WORD_BUDGET if budget is None else budget
-    if total > limit:
-        raise BudgetExceededError(total, limit, context=f"enumerating k^N words at N={n}")
+    cells = model.k ** n * n
+    if cells > DEFAULT_WORD_BUDGET:
+        raise BudgetExceededError(cells, DEFAULT_WORD_BUDGET,
+                                  context=f"enumerating k^N words at N={n}, in array cells")
     dtype = np.min_scalar_type(model.k - 1)
     return np.indices((model.k,) * n, dtype=dtype).reshape(n, -1).T
 
 
-def domain_fraction(model: CoefficientModel, n: int, *, budget: Optional[int] = None) -> Fraction:
+def domain_fraction(model: CoefficientModel, n: int) -> Fraction:
     """Exact matched fraction #dom(shift_up) / k^N by exhaustive enumeration."""
-    words = _all_words(model, n, budget)
+    words = _all_words(model, n)
     up, _ = _flips(words)
     return Fraction(int(np.count_nonzero(up >= 0)), len(words))
 
@@ -193,12 +194,12 @@ class MatchingReport:
         }
 
 
-def verify_matching(model: CoefficientModel, n: int, *, budget: Optional[int] = None,
+def verify_matching(model: CoefficientModel, n: int, *,
                     max_violations: int = 10) -> MatchingReport:
     """Exhaustively check injectivity, the exact sum shift, inversion, and the
     weight-monotonicity of flips (probability multiplies by p2/p1 >= 1 when
     p2 >= p1), over all k^N words."""
-    all_words = _all_words(model, n, budget)
+    all_words = _all_words(model, n)
     k = model.k
     up, _ = _flips(all_words)
     rows = np.flatnonzero(up >= 0)
@@ -281,8 +282,7 @@ class ShiftScanReport:
 
 
 def shift_effect_on_scan(stream, n_head: int, grid: ScanGrid = ScanGrid(),
-                         eps: float = DEFAULT_EPS, *, budget: Optional[int] = None
-                         ) -> ShiftScanReport:
+                         eps: float = DEFAULT_EPS) -> ShiftScanReport:
     """Scan the stream and its shift_up-rewritten twin over the same grid.
 
     Both series share every coefficient beyond the rewritten head, so at each
@@ -302,8 +302,8 @@ def shift_effect_on_scan(stream, n_head: int, grid: ScanGrid = ScanGrid(),
     x0 = 1.0 - grid.deltas()[0]
     band = float(abs(shift_fr)) * (1.0 - x0 ** flip_pos)
 
-    original = scan(stream, grid, eps, budget=budget)
-    shifted = scan(PatchedStream(stream, image), grid, eps, budget=budget)
+    original = scan(stream, grid, eps)
+    shifted = scan(PatchedStream(stream, image), grid, eps)
     rows = []
     for ro, rs in zip(original.rows, shifted.rows):
         diff = rs.value - ro.value

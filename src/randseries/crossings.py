@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ConfigError
-from .series_eval import eval_to_eps
+from .series_eval import check_term_budget, eval_to_eps
 
 __all__ = [
     "CrossingReport",
@@ -26,7 +26,7 @@ __all__ = [
 
 POINTS_PER_DECADE = 64
 REFINE_WIDTH_FACTOR = 1e-3     # target bracket width: 1e-3 * (1 - x) locally
-DEFAULT_REFINE_BUDGET = 20     # extra evaluations allowed per bracket
+REFINE_BUDGET = 20             # extra evaluations allowed per bracket
 
 
 @dataclass(frozen=True)
@@ -77,21 +77,21 @@ def _certified_sign(bv, y: float) -> int:
     return 0
 
 
-def _refine(stream, y: float, a: float, sa: int, b: float, sb: int, eps: float,
-            budget: Optional[int], refine_budget: int) -> RootBracket:
+def _refine(stream, y: float, a: float, sa: int, b: float, sb: int,
+            eps: float) -> RootBracket:
     """Bisect to width <= REFINE_WIDTH_FACTOR * (1-b), keeping both certificates.
 
     Indeterminate midpoints are retried with a 4x tighter tail tolerance, up to
-    ``refine_budget`` extra evaluations; if that runs out the current (wider
+    REFINE_BUDGET extra evaluations; if that runs out the current (wider
     but still certified) bracket is returned.
     """
     extra = 0
     eps_local = eps
-    while (b - a) > REFINE_WIDTH_FACTOR * (1.0 - b) and extra <= refine_budget:
+    while (b - a) > REFINE_WIDTH_FACTOR * (1.0 - b) and extra <= REFINE_BUDGET:
         mid = 0.5 * (a + b)
         if mid <= a or mid >= b:
             break
-        s = _certified_sign(eval_to_eps(stream, mid, eps_local, budget=budget), y)
+        s = _certified_sign(eval_to_eps(stream, mid, eps_local), y)
         extra += 1
         if s == 0:
             eps_local *= 0.25
@@ -104,36 +104,38 @@ def _refine(stream, y: float, a: float, sa: int, b: float, sb: int, eps: float,
 
 
 def find_crossings(stream, y: float, window: tuple[float, float], eps: float = 1e-3,
-                   max_brackets: int = 10_000, *, budget: Optional[int] = None,
-                   refine_budget: int = DEFAULT_REFINE_BUDGET) -> CrossingReport:
+                   max_brackets: int = 10_000) -> CrossingReport:
     """Certified, pairwise-disjoint sign-change brackets of f - y on the window.
 
     Args:
         window: (x_lo, x_hi) with 0 < x_lo < x_hi < 1.
         eps: tail tolerance for the enclosures used in sign certification.
-        max_brackets: stop (and flag truncation) after this many brackets.
+        max_brackets: stop (and flag truncation) after this many brackets, >= 1.
+
+    The term budget is checked, and eps validated, at every grid point before
+    any evaluation.
     """
     x_lo, x_hi = window
     if not (0.0 < x_lo < x_hi < 1.0):
         raise ConfigError(f"need 0 < x_lo < x_hi < 1, got {window!r}")
-    if not eps > 0:
-        raise ConfigError(f"eps must be positive, got {eps!r}")
+    if max_brackets < 1:
+        raise ConfigError(f"max_brackets must be >= 1, got {max_brackets!r}")
 
     grid = _detection_grid(x_lo, x_hi)
+    check_term_budget(stream.model.max_abs_float, ((x, eps) for x in grid),
+                      "crossings grid")
     brackets: list[RootBracket] = []
     indeterminate: list[float] = []
     truncated = False
     prev_x: Optional[float] = None
     prev_sign = 0
     for x in grid:
-        s = _certified_sign(eval_to_eps(stream, x, eps, budget=budget), y)
+        s = _certified_sign(eval_to_eps(stream, x, eps), y)
         if s == 0:
             indeterminate.append(x)
             continue
         if prev_sign != 0 and s != prev_sign:
-            brackets.append(
-                _refine(stream, y, prev_x, prev_sign, x, s, eps, budget, refine_budget)
-            )
+            brackets.append(_refine(stream, y, prev_x, prev_sign, x, s, eps))
             if len(brackets) >= max_brackets:
                 truncated = True
                 break
@@ -147,8 +149,8 @@ def find_crossings(stream, y: float, window: tuple[float, float], eps: float = 1
     )
 
 
-def crossing_counts_by_depth(stream, y: float, depths: list[float], eps: float = 1e-3,
-                             *, budget: Optional[int] = None) -> tuple[list[int], CrossingReport]:
+def crossing_counts_by_depth(stream, y: float, depths: list[float],
+                             eps: float = 1e-3) -> tuple[list[int], CrossingReport]:
     """Cumulative certified crossing counts as the window extends toward 1.
 
     ``depths`` are strictly decreasing values of 1-x; the k-th count is the
@@ -158,8 +160,7 @@ def crossing_counts_by_depth(stream, y: float, depths: list[float], eps: float =
     """
     if any(b >= a for a, b in zip(depths, depths[1:])):
         raise ValueError("depths must be strictly decreasing")
-    report = find_crossings(stream, y, (1.0 - depths[0], 1.0 - depths[-1]),
-                            eps, budget=budget)
+    report = find_crossings(stream, y, (1.0 - depths[0], 1.0 - depths[-1]), eps)
     counts = []
     for d in depths:
         edge = 1.0 - d

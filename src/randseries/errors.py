@@ -14,17 +14,14 @@ class WitnessImpossibleError(ValueError):
 
 
 class BudgetExceededError(RuntimeError):
-    """A computation would need more terms (or words) than the configured budget.
+    """A computation would need more terms (or word-array cells) than the budget.
 
     Raised instead of silently truncating; ``required`` reports how large the
     computation would have to be.
     """
 
-    def __init__(self, required: int, budget: int, context: str = ""):
+    def __init__(self, required: int, limit: int, context: str):
         self.required = required
-        self.budget = budget
+        self.limit = limit
         self.context = context
-        where = f" ({context})" if context else ""
-        super().__init__(
-            f"budget exceeded{where}: required {required} > budget {budget}"
-        )
+        super().__init__(f"budget exceeded ({context}): required {required} > budget {limit}")

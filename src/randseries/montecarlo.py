@@ -17,9 +17,10 @@ from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .boundary_scan import ScanGrid, Verdict, check_scan_budget, scan, verdicts_by_depth
+from .boundary_scan import ScanGrid, Verdict, scan, verdicts_by_depth
 from .coefficients import CoefficientModel, MeanSign, SequenceStream
 from .errors import ConfigError
+from .series_eval import check_term_budget
 
 __all__ = [
     "DiagnosticRow",
@@ -111,7 +112,8 @@ def _histogram_data(counts: dict) -> dict:
 
 def _scan_samples(config: ExperimentConfig, grid: ScanGrid, thresholds: tuple) -> list:
     """Scan every sample's stream; the budget is checked once, before any sample."""
-    check_scan_budget(config.model.max_abs_float, grid, config.eps)
+    check_term_budget(config.model.max_abs_float,
+                      ((x, config.eps) for x in grid.points()), "scan grid")
     args = [(config.model, config.master_seed, i, grid, config.eps, thresholds)
             for i in range(config.num_samples)]
     return _map_samples(_sample_kernel, args, config.workers)

@@ -14,7 +14,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -26,6 +26,8 @@ __all__ = [
     "DEFAULT_TERM_BUDGET",
     "TERM_BUDGET_ENV",
     "WalkLowerBound",
+    "check_term_budget",
+    "check_terms",
     "eval_abel_form",
     "eval_prefix",
     "eval_to_eps",
@@ -49,10 +51,8 @@ _INFLATE = 1.0 + 2.0 ** -40
 _TINY = 1e-300
 
 
-def term_budget(override: Optional[int] = None) -> int:
-    """Resolve the per-evaluation term budget (override > env var > default)."""
-    if override is not None:
-        return int(override)
+def term_budget() -> int:
+    """The per-evaluation term budget: RANDSERIES_TERM_BUDGET, else the default."""
     env = os.environ.get(TERM_BUDGET_ENV)
     if env:
         try:
@@ -177,7 +177,24 @@ def required_terms(max_abs: float, x: float, eps: float) -> int:
     return n
 
 
-def eval_to_eps(stream, x: float, eps: float, *, budget: Optional[int] = None) -> BoundedValue:
+def check_terms(n_terms: int, context: str) -> None:
+    """Raise BudgetExceededError if one evaluation of N terms exceeds the term budget."""
+    limit = term_budget()
+    if n_terms > limit:
+        raise BudgetExceededError(n_terms, limit, context=context)
+
+
+def check_term_budget(max_abs: float, points: Iterable, what: str) -> None:
+    """Check every (x, eps) point an operation will evaluate, before the first one.
+
+    A point's term count depends only on (max|d|, x, eps), never on the
+    coefficients, so one check decides for every stream of the model.
+    """
+    for i, (x, eps) in enumerate(points):
+        check_terms(required_terms(max_abs, x, eps), f"{what} point {i}, x={x!r}")
+
+
+def eval_to_eps(stream, x: float, eps: float) -> BoundedValue:
     """Evaluate with the minimal truncation whose tail radius is at most eps.
 
     Raises:
@@ -186,9 +203,7 @@ def eval_to_eps(stream, x: float, eps: float, *, budget: Optional[int] = None) -
             truncating.
     """
     n = required_terms(stream.model.max_abs_float, x, eps)
-    limit = term_budget(budget)
-    if n > limit:
-        raise BudgetExceededError(n, limit, context=f"eval_to_eps at x={x!r}")
+    check_terms(n, f"eval_to_eps at x={x!r}")
     return eval_truncated(stream, x, n)
 
 

@@ -88,10 +88,10 @@ class TestScan:
         assert deep.running_sup_lower >= shallow.running_sup_lower
         assert deep.running_inf_upper <= shallow.running_inf_upper
 
-    def test_budget_error_carries_grid_context(self):
+    def test_budget_error_carries_grid_context(self, monkeypatch):
+        monkeypatch.setenv("RANDSERIES_TERM_BUDGET", "1000000")
         with pytest.raises(BudgetExceededError) as exc:
-            scan(SequenceStream(M11, 1, 0), ScanGrid(delta_min=1e-9), eps=0.01,
-                 budget=1_000_000)
+            scan(SequenceStream(M11, 1, 0), ScanGrid(delta_min=1e-9), eps=0.01)
         assert "grid point" in str(exc.value)
 
     def test_eps_rule_callable(self):

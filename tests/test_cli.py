@@ -7,8 +7,9 @@ from pathlib import Path
 import pytest
 
 import randseries
-from randseries import montecarlo
+from randseries import boundary_scan, crossings, montecarlo
 from randseries.cli import run
+from randseries.coefficients import SequenceStream
 
 
 def read(path):
@@ -201,6 +202,8 @@ class TestFailFast:
         (["witness", "--set", "-1,1", "--prefix", "1", "--grid-size", "-5"], {}),
         (["witness", "--set", "-1,1", "--prefix", "1", "--target", "1e308"], {}),
         (["witness", "--set", "-1,1", "--prefix", ","], {}),
+        (["crossings", "--set", "-1,1", "--max-brackets", "0"], {}),
+        (["crossings", "--set", "-1,1", "--max-brackets", "-3"], {}),
     ])
     def test_invalid_input_exit_two(self, argv, env, monkeypatch, capsys):
         for key, value in env.items():
@@ -221,6 +224,37 @@ class TestFailFast:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert "required" in captured.err
+
+    @pytest.mark.parametrize("module,argv", [
+        (boundary_scan, ["scan", "--set", "-1,1", "--depth", "1e-9"]),
+        (crossings, ["crossings", "--set", "-1,1", "--window", "1e-2:1e-9"]),
+    ])
+    def test_grid_over_budget_exit_three_before_evaluating(self, module, argv,
+                                                            monkeypatch, capsys):
+        def no_eval(*args, **kwargs):
+            raise AssertionError("a grid point was evaluated")
+
+        monkeypatch.setattr(module, "eval_to_eps", no_eval)
+        assert run(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert f"{argv[0]} grid point" in captured.err
+
+    def test_orbit_check_over_budget_exit_three_before_prefix(self, monkeypatch, capsys):
+        def no_prefix(*args, **kwargs):
+            raise AssertionError("the prefix was built")
+
+        monkeypatch.setenv("RANDSERIES_TERM_BUDGET", "1000")
+        monkeypatch.setattr(SequenceStream, "prefix", no_prefix)
+        assert run(["orbit-check", "--set", "-1,1", "--n", "1001"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "required 1001 > budget 1000" in captured.err
+
+    def test_bijection_over_word_budget_exit_three(self, capsys):
+        assert run(["bijection", "verify", "--set", "-1,1", "--n", "22"]) == 3
+        assert "required 92274688" in capsys.readouterr().err
 
 
 class TestModuleEntryPoint:

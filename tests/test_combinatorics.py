@@ -155,6 +155,16 @@ class TestDomainFraction:
         with pytest.raises(BudgetExceededError):
             domain_fraction(M11, 40)
 
+    def test_word_budget_counts_cells_before_allocating(self, monkeypatch):
+        # 2^22 words fit a word count of 5e7, but 2^22 * 22 array cells do not
+        def no_indices(*args, **kwargs):
+            raise AssertionError("the words were allocated")
+
+        monkeypatch.setattr(np, "indices", no_indices)
+        with pytest.raises(BudgetExceededError) as exc:
+            verify_matching(M11, 22)
+        assert exc.value.required == 2 ** 22 * 22
+
     def test_empty_word_rejected(self):
         with pytest.raises(ConfigError):
             domain_fraction(M11, 0)

@@ -82,9 +82,10 @@ class TestEvalToEps:
         n = required_terms(1.0, 1.0 - 1e-4, 1e-3)
         assert 1.3e5 < n < 2.0e5
 
-    def test_budget_exceeded_reports_required(self):
+    def test_budget_exceeded_reports_required(self, monkeypatch):
+        monkeypatch.setenv("RANDSERIES_TERM_BUDGET", "100000")
         with pytest.raises(BudgetExceededError) as exc:
-            eval_to_eps(SequenceStream(M11, 1, 0), 1.0 - 1e-4, 1e-3, budget=100_000)
+            eval_to_eps(SequenceStream(M11, 1, 0), 1.0 - 1e-4, 1e-3)
         assert exc.value.required > 100_000
 
     def test_recompute_at_double_n(self):
