@@ -139,10 +139,17 @@ def _merged_config(command: str, ns: argparse.Namespace) -> dict:
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must hold a JSON object")
         section = file_cfg.get(command, file_cfg)
+        if not isinstance(section, dict):
+            raise ConfigError(f"config file section {command!r} must be a JSON object")
         for key, value in section.items():
             key = key.replace("-", "_")
             if key in spec and key != "config":
-                merged[key] = spec[key][0](value) if value is not None else None
+                typ = spec[key][0]
+                try:
+                    merged[key] = typ(value) if value is not None else None
+                except (TypeError, ValueError, OverflowError):
+                    raise ConfigError(f"config file {cfg_path!r}: {key} must be "
+                                      f"{typ.__name__}, got {value!r}") from None
     for key in spec:
         if key == "config":
             continue

@@ -34,6 +34,8 @@ RationalLike = Union[int, str, Fraction]
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _STREAM_SALT = 0xD1B54A32D192ED03
+# Stream draws are generated in blocks of this many terms, in reused buffers.
+_GEN_BLOCK = 1 << 16
 
 
 def _mix64(z: int) -> int:
@@ -44,14 +46,16 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _mix64_array(z: np.ndarray) -> np.ndarray:
-    z = z.astype(np.uint64, copy=True)
-    z ^= z >> np.uint64(30)
+def _mix64_inplace(z: np.ndarray, tmp: np.ndarray) -> None:
+    """SplitMix64 finalizer over a uint64 array, in place; ``tmp`` is scratch of the same size."""
+    np.right_shift(z, np.uint64(30), out=tmp)
+    z ^= tmp
     z *= np.uint64(0xBF58476D1CE4E5B9)
-    z ^= z >> np.uint64(27)
+    np.right_shift(z, np.uint64(27), out=tmp)
+    z ^= tmp
     z *= np.uint64(0x94D049BB133111EB)
-    z ^= z >> np.uint64(31)
-    return z
+    np.right_shift(z, np.uint64(31), out=tmp)
+    z ^= tmp
 
 
 def _to_fraction(v: RationalLike, what: str) -> Fraction:
@@ -203,10 +207,6 @@ class CoefficientModel:
             raise ConfigError("weights are finer than the 64-bit sampling grid")
         return tuple(ts)
 
-    @cached_property
-    def _thresholds_array(self) -> np.ndarray:
-        return np.array(self._thresholds, dtype=np.uint64)
-
     def _index_from_draw(self, u: int) -> int:
         j = 0
         for t in self._thresholds:
@@ -232,20 +232,38 @@ def parse_model(set_spec: str, weights_spec: str | None = None) -> CoefficientMo
     return CoefficientModel.create(values, weights)
 
 
-@dataclass(frozen=True)
 class FinitePrefix:
-    """The first N coordinates of a coefficient sequence, stored as value indices."""
+    """The first N coordinates of a coefficient sequence, stored as value indices.
 
-    model: CoefficientModel
-    indices: tuple[int, ...]
+    The indices are held in one read-only array (``index_array``); the tuple
+    ``indices`` and the exact ``values`` are built only when asked for.
+    """
 
-    def __post_init__(self):
-        k = self.model.k
-        if any(not (0 <= i < k) for i in self.indices):
+    def __init__(self, model: CoefficientModel, indices):
+        arr = np.array(indices, dtype=np.intp)
+        if arr.size and not (arr.min() >= 0 and arr.max() < model.k):
             raise ConfigError("prefix index outside the coefficient set")
+        arr.flags.writeable = False
+        self.model = model
+        self.index_array = arr
 
     def __len__(self) -> int:
-        return len(self.indices)
+        return self.index_array.shape[0]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FinitePrefix):
+            return NotImplemented
+        return self.model == other.model and np.array_equal(self.index_array, other.index_array)
+
+    def __hash__(self) -> int:
+        return hash((self.model, self.indices))
+
+    def __repr__(self) -> str:
+        return f"FinitePrefix(model={self.model!r}, indices={self.indices!r})"
+
+    @cached_property
+    def indices(self) -> tuple[int, ...]:
+        return tuple(self.index_array.tolist())
 
     @cached_property
     def values(self) -> tuple[Fraction, ...]:
@@ -254,13 +272,13 @@ class FinitePrefix:
 
     @cached_property
     def floats(self) -> np.ndarray:
-        arr = self.model.floats[np.array(self.indices, dtype=np.intp)]
+        arr = self.model.floats[self.index_array]
         arr.flags.writeable = False
         return arr
 
     @classmethod
     def from_values(cls, model: CoefficientModel, values: Sequence) -> "FinitePrefix":
-        return cls(model, tuple(model.index_of(v) for v in values))
+        return cls(model, [model.index_of(v) for v in values])
 
 
 class _Stream:
@@ -272,7 +290,8 @@ class _Stream:
 
     def __init__(self, model: CoefficientModel):
         self.model = model
-        self._floats = np.empty(0, dtype=np.float64)
+        self._floats = np.empty(0, dtype=np.float64)   # capacity grows by doubling
+        self._have = 0                                  # entries filled so far
 
     def index_range(self, lo: int, hi: int) -> np.ndarray:
         """Value indices of coefficients lo..hi-1 (1-based, half-open), as a new array."""
@@ -286,25 +305,33 @@ class _Stream:
         return self.index_range(1, n_terms + 1)
 
     def index_prefix(self, n_terms: int) -> tuple[int, ...]:
-        return tuple(int(i) for i in self.index_array(n_terms))
+        return tuple(self.index_array(n_terms).tolist())
 
     def prefix(self, n_terms: int) -> FinitePrefix:
         if n_terms < 1:
             raise ConfigError("prefix length must be >= 1")
-        return FinitePrefix(self.model, self.index_prefix(n_terms))
+        return FinitePrefix(self.model, self.index_array(n_terms))
 
     def float_coefficients(self, n_terms: int) -> np.ndarray:
         """Float mirrors of coefficients a_1..a_N as a read-only array view.
 
-        The cache only grows; regenerating any prefix yields bit-identical values.
+        The cache only grows: new entries are written past the filled ones
+        (into a buffer of doubled capacity when it is full), so every view
+        handed out earlier keeps its values, and regenerating any prefix
+        yields bit-identical values.
         """
-        have = self._floats.shape[0]
+        have = self._have
         if n_terms > have:
+            if n_terms > self._floats.shape[0]:
+                grown = np.empty(max(n_terms, 2 * have), dtype=np.float64)
+                grown[:have] = self._floats[:have]
+                self._floats = grown
             idx = self.index_range(have + 1, n_terms + 1)
-            grown = np.concatenate([self._floats, self.model.floats[idx]])
-            grown.flags.writeable = False
-            self._floats = grown
-        return self._floats[:n_terms]
+            np.take(self.model.floats, idx, out=self._floats[have:n_terms], mode="clip")
+            self._have = n_terms
+        view = self._floats[:n_terms]
+        view.flags.writeable = False
+        return view
 
 
 class SequenceStream(_Stream):
@@ -333,9 +360,27 @@ class SequenceStream(_Stream):
         return self.model._index_from_draw(self.draw_at(n))
 
     def index_range(self, lo: int, hi: int) -> np.ndarray:
-        ns = np.arange(lo, hi, dtype=np.uint64)
-        u = _mix64_array(np.uint64(self._key) + ns * np.uint64(_GOLDEN))
-        return np.searchsorted(self.model._thresholds_array, u, side="right")
+        # SplitMix64 of key + n * golden, block by block in reused buffers; the
+        # value index is the number of thresholds at or below the draw.
+        lo, hi = int(lo), int(hi)
+        count = max(hi - lo, 0)
+        out = np.empty(count, dtype=np.intp)
+        size = min(count, _GEN_BLOCK)
+        steps = np.arange(size, dtype=np.uint64) * np.uint64(_GOLDEN)
+        z = np.empty(size, dtype=np.uint64)
+        tmp = np.empty(size, dtype=np.uint64)
+        hit = np.empty(size, dtype=bool)
+        thresholds = [np.uint64(t) for t in self.model._thresholds]
+        for start in range(0, count, _GEN_BLOCK):
+            m = min(_GEN_BLOCK, count - start)
+            zb, ob = z[:m], out[start:start + m]
+            np.add(steps[:m], np.uint64((self._key + (lo + start) * _GOLDEN) & _MASK64), out=zb)
+            _mix64_inplace(zb, tmp[:m])
+            np.greater_equal(zb, thresholds[0], out=ob)
+            for t in thresholds[1:]:
+                np.greater_equal(zb, t, out=hit[:m])
+                ob += hit[:m]
+        return out
 
 
 class PatchedStream(_Stream):

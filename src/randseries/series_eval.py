@@ -44,7 +44,11 @@ DEFAULT_TERM_BUDGET = 50_000_000
 TERM_BUDGET_ENV = "RANDSERIES_TERM_BUDGET"
 
 _EPS = 2.0 ** -52
-_CHUNK = 1 << 20
+# Powers x^(h+i) are formed as x^h * x^i: the ladder x^1..x^_LADDER is one
+# cumulative product per evaluation and each row head x^h one direct pow.
+# Terms are formed and summed in cache-resident blocks of _BLOCK.
+_LADDER = 1 << 12
+_BLOCK = 1 << 16
 # Outward inflation for tail bounds: generously covers libm pow slop even for
 # exponents ~1e8, while perturbing only the 13th digit of the bound.
 _INFLATE = 1.0 + 2.0 ** -40
@@ -105,9 +109,24 @@ def tail_bound(max_abs: float, x: float, n_terms: int) -> float:
 def rounding_slack(n_terms: int, abs_sum: float) -> float:
     """Bound 4 * N * eps_machine * sum|a_n x^n| on the float error of an N-term sum.
 
-    It dominates every float error source of the evaluations here: coefficient
-    mirroring, per-chunk power drift, products, and pairwise/compensated
-    accumulation.
+    With u = eps_machine / 2 the unit roundoff, it dominates every float error
+    source of the evaluations here, each relative to sum|a_n x^n|:
+
+    - coefficient mirroring: each float a_n is within u of the exact value;
+    - the power ladder: x^i for i <= B (B = 4096) is a cumulative product
+      with at most B-1 roundings, and never more than n-1 for x^n;
+    - the row heads: x^h (h a positive multiple of B) is one direct ``pow``,
+      within one ulp (2u); the head x^0 = 1 is exact;
+    - the product x^h * x^i and the product with a_n: one rounding each;
+    - the block sums: pairwise sums of at most N terms (below (N-1)u), added
+      with a correctly rounded ``math.fsum`` (one more u).
+
+    A power carries at most N - 1 roundings when N <= B (its head is exact)
+    and at most B + 2 otherwise.  To first order the total is then below
+    (2N + 1)u for N <= B and (N + B + 4)u < (2N + 4)u for N > B, which
+    8Nu = 4 * N * eps_machine covers with room to spare (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, section 3.1).  The 1e-300 floor
+    covers underflow in the powers.
     """
     return 4.0 * n_terms * _EPS * abs_sum + _TINY
 
@@ -115,21 +134,31 @@ def rounding_slack(n_terms: int, abs_sum: float) -> float:
 def _power_sum(coeffs: np.ndarray, x: float) -> tuple[float, float]:
     """Return (sum of a_n x^n, sum of |a_n| x^n) for n = 1..len(coeffs).
 
-    Chunked so arbitrarily long evaluations never materialise more than one
-    ~1M-element power block; each chunk restarts its power ladder from a
-    direct pow, so cumulative-product drift cannot build up across chunks.
+    Term n = h + i (1 <= i <= B, h a multiple of B = _LADDER) takes the power
+    x^h * x^i: the ladder x^1..x^B is one cumulative product per call and each
+    row head x^h one direct pow, so no power carries more than B + 2
+    roundings however long the sum (see ``rounding_slack``).  Powers and then
+    terms are formed in place in one reused buffer of _BLOCK entries, each
+    block is summed pairwise, and the block sums are added with ``math.fsum``.
     """
     n = coeffs.shape[0]
+    width = min(n, _LADDER)
+    ladder = np.cumprod(np.full(width, x))
+    buf = np.empty(min(n, _BLOCK))
     sums: list[float] = []
     abs_sums: list[float] = []
-    for start in range(0, n, _CHUNK):
-        stop = min(start + _CHUNK, n)
-        powers = np.cumprod(np.full(stop - start, x))
-        if start:
-            powers *= x ** start
-        block = coeffs[start:stop] * powers
+    for start in range(0, n, _BLOCK):
+        m = min(_BLOCK, n - start)
+        full, rest = divmod(m, width)
+        heads = np.array([x ** h for h in range(start, start + m, width)])
+        np.multiply(heads[:full, None], ladder, out=buf[:full * width].reshape(full, width))
+        if rest:
+            np.multiply(ladder[:rest], heads[full], out=buf[full * width:m])
+        block = buf[:m]
+        np.multiply(coeffs[start:start + m], block, out=block)
         sums.append(float(block.sum()))
-        abs_sums.append(float(np.abs(block).sum()))
+        np.abs(block, out=block)
+        abs_sums.append(float(block.sum()))
     return math.fsum(sums), math.fsum(abs_sums)
 
 
@@ -150,11 +179,17 @@ def eval_truncated(stream, x: float, n_terms: int) -> BoundedValue:
 
 def eval_prefix(prefix: FinitePrefix, x: float) -> BoundedValue:
     """Evaluate a finite prefix polynomial (no tail: the series stops at N)."""
+    return _eval_polynomial(prefix.floats, x)
+
+
+def _eval_polynomial(coeffs: np.ndarray, x: float) -> BoundedValue:
+    """Evaluate sum a_n x^n over the float coefficients a_1..a_N, with no tail."""
     x = _check_x(x)
+    n = coeffs.shape[0]
     if x == 0.0:
-        return BoundedValue(x, len(prefix), 0.0, 0.0, 0.0)
-    value, abs_sum = _power_sum(prefix.floats, x)
-    return BoundedValue(x, len(prefix), value, 0.0, rounding_slack(len(prefix), abs_sum))
+        return BoundedValue(x, n, 0.0, 0.0, 0.0)
+    value, abs_sum = _power_sum(coeffs, x)
+    return BoundedValue(x, n, value, 0.0, rounding_slack(n, abs_sum))
 
 
 def required_terms(max_abs: float, x: float, eps: float) -> int:

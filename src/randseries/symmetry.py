@@ -11,9 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .coefficients import FinitePrefix
 from .errors import PreconditionError
-from .series_eval import BoundedValue, eval_prefix
+from .series_eval import BoundedValue, _eval_polynomial
 
 __all__ = ["SignWitness", "apply_perm", "orbit_sum", "orbit_values", "sign_witness"]
 
@@ -25,11 +27,16 @@ def apply_perm(prefix: FinitePrefix, j: int) -> FinitePrefix:
         raise ValueError(f"rotation count must lie in [0, {k}), got {j}")
     if j == 0:
         return prefix
-    return FinitePrefix(prefix.model, tuple((i + j) % k for i in prefix.indices))
+    return FinitePrefix(prefix.model, (prefix.index_array + j) % k)
 
 
 def orbit_values(prefix: FinitePrefix, x) -> list:
-    """Truncated series values of all k rotated prefixes at x."""
+    """Truncated series values of all k rotated prefixes at x.
+
+    Exact rationals for Fraction x.  For float x the index array is read
+    through the value table of each rotated alphabet (index i maps to the
+    value of (i + j) mod k) and summed by the float kernel of ``eval_prefix``.
+    """
     k = prefix.model.k
     if isinstance(x, Fraction):
         out = []
@@ -37,7 +44,9 @@ def orbit_values(prefix: FinitePrefix, x) -> list:
             rotated = apply_perm(prefix, j)
             out.append(sum((a * x ** n for n, a in enumerate(rotated.values, 1)), Fraction(0)))
         return out
-    return [eval_prefix(apply_perm(prefix, j), x) for j in range(k)]
+    table = prefix.model.floats
+    return [_eval_polynomial(table[(np.arange(k) + j) % k][prefix.index_array], x)
+            for j in range(k)]
 
 
 def orbit_sum(prefix: FinitePrefix, x):

@@ -204,10 +204,17 @@ class TestFailFast:
         (["witness", "--set", "-1,1", "--prefix", ","], {}),
         (["crossings", "--set", "-1,1", "--max-brackets", "0"], {}),
         (["crossings", "--set", "-1,1", "--max-brackets", "-3"], {}),
+        (["scan", "--set", "-1,1", "--config", '{"scan": {"seed": "abc"}}'], {}),
+        (["scan", "--set", "-1,1", "--config", '{"scan": 5}'], {}),
     ])
-    def test_invalid_input_exit_two(self, argv, env, monkeypatch, capsys):
+    def test_invalid_input_exit_two(self, argv, env, monkeypatch, capsys, tmp_path):
         for key, value in env.items():
             monkeypatch.setenv(key, value)
+        if "--config" in argv:   # the row holds the file's JSON text; pass a file with it
+            i = argv.index("--config") + 1
+            path = tmp_path / "config.json"
+            path.write_text(argv[i], encoding="utf-8")
+            argv = argv[:i] + [str(path)] + argv[i + 1:]
         assert run(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -12,6 +12,7 @@ from randseries import (
     SequenceStream,
     parse_model,
 )
+from randseries.coefficients import _GEN_BLOCK
 
 from .streams import PatternStream
 
@@ -129,6 +130,14 @@ class TestStreamDeterminism:
         full = s.float_coefficients(100)
         assert np.array_equal(full[:10], short)
 
+    def test_float_cache_growth_keeps_earlier_views(self):
+        s = SequenceStream(parse_model("-1,0,1", "1/4,1/4,1/2"), 11, 0)
+        views = [s.float_coefficients(n) for n in (10, 1000, 1001, 70_000, 300_000)]
+        fresh = SequenceStream(s.model, 11, 0).float_coefficients(300_000)
+        for v in views:
+            assert not v.flags.writeable
+            assert np.array_equal(v, fresh[:len(v)])
+
     def test_negative_sample_index_rejected(self):
         with pytest.raises(ConfigError):
             SequenceStream(parse_model("-1,1"), 0, -1)
@@ -141,6 +150,30 @@ class TestStreamDeterminism:
         s = SequenceStream(model, seed, index)
         lo, hi = sorted((n, m))
         assert s.index_prefix(hi)[:lo] == s.index_prefix(lo)
+
+
+class TestRangeAcrossGenerationBlocks:
+    """``index_range`` generates draws in blocks of _GEN_BLOCK; every entry must
+    equal the independent scalar path, on both sides of every block edge."""
+
+    G = _GEN_BLOCK
+    RANGES = [(1, 2 * G + 3), (G - 5, 3 * G + 7), (2**32 - G - 1, 2**32 + 2)]
+
+    @pytest.mark.parametrize("lo,hi", RANGES)
+    @pytest.mark.parametrize("spec,weights", [("-1,1", None), ("-1,0,1", "1/4,1/4,1/2")])
+    def test_sequence_stream(self, spec, weights, lo, hi):
+        s = SequenceStream(parse_model(spec, weights), 20170912, 7)
+        assert s.index_range(lo, hi).tolist() == [s.index_at(n) for n in range(lo, hi)]
+
+    def test_patched_stream(self):
+        base = SequenceStream(parse_model("-1,0,1", "1/4,1/4,1/2"), 3, 1)
+        # a head that differs from the base everywhere and ends past the first block
+        head = [(base.index_at(n) + 1) % 3 for n in range(1, self.G + 4)]
+        patched = PatchedStream(base, head)
+        for lo, hi in [(1, 2 * self.G + 3), (self.G - 5, 2 * self.G)]:
+            expected = [head[n - 1] if n <= len(head) else base.index_at(n)
+                        for n in range(lo, hi)]
+            assert patched.index_range(lo, hi).tolist() == expected
 
 
 class TestSamplingDistribution:

@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 from randseries import SequenceStream, eval_to_eps, eval_truncated, parse_model, required_terms
+from randseries.series_eval import _BLOCK, _LADDER
 
 FRAC_BITS = 160
 EPS = 0.01
@@ -68,3 +69,25 @@ def test_enclosure_contains_exact_truncated_sum(name, seed, t):
     full = eval_to_eps(stream, x, EPS)
     assert full.n_terms == n and full.value == bv.value
     assert Fraction(full.lower) <= lo and hi <= Fraction(full.upper)
+
+
+# The kernel forms x^(h+i) as x^h * x^i over a ladder of B powers and sums in
+# blocks of BLOCK terms; these lengths sit on and around both edges.
+B, BLOCK = _LADDER, _BLOCK
+EDGE_LENGTHS = [1, 2, B - 1, B, B + 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5]
+
+
+@pytest.mark.parametrize("n", EDGE_LENGTHS)
+@pytest.mark.parametrize("t", [12, 20])
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_enclosure_at_ladder_and_block_edges(name, t, n):
+    model = MODELS[name]
+    stream = SequenceStream(model, 7, 0)
+    x = 1.0 - 2.0 ** -t
+    values = [int(v) for v in model.values]
+    lo, hi = fixed_point_sum([values[i] for i in stream.index_array(n).tolist()], t)
+
+    bv = eval_truncated(stream, x, n)
+    assert bv.n_terms == n
+    assert Fraction(bv.value) - Fraction(bv.rounding_slack) <= lo
+    assert hi <= Fraction(bv.value) + Fraction(bv.rounding_slack)

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from randseries import (
     BudgetExceededError,
+    ScanGrid,
     SequenceStream,
     eval_abel_form,
     eval_prefix,
@@ -15,6 +16,7 @@ from randseries import (
     parse_model,
     partial_sums,
     required_terms,
+    scan,
     tail_bound,
 )
 
@@ -66,6 +68,17 @@ class TestEvalTruncated:
         exact = sum((a * x ** n for n, a in enumerate(prefix.values, 1)), Fraction(0))
         bv = eval_truncated(s, 0.9, 300)
         assert abs(bv.value - float(exact)) <= bv.rounding_slack + 1e-13
+
+
+class TestCacheHistory:
+    def test_same_bits_after_a_full_scan_grew_the_cache(self):
+        model = parse_model("-1,0,1", "1/4,1/4,1/2")
+        grown = SequenceStream(model, 20170912, 3)
+        report = scan(grown, ScanGrid(0.1, 0.5, 1e-5), 0.01)
+        n_max = max(r.n_terms for r in report.rows)
+        for x, n in [(0.9, 1), (0.999, 4097), (1.0 - 1e-5, n_max), (0.99999, n_max + 70_001)]:
+            fresh = SequenceStream(model, 20170912, 3)
+            assert eval_truncated(grown, x, n) == eval_truncated(fresh, x, n)
 
 
 class TestEvalToEps:
