@@ -22,6 +22,7 @@ __all__ = [
     "ScanReport",
     "ScanRow",
     "Verdict",
+    "check_threshold",
     "scan",
     "verdict",
     "verdicts_by_depth",
@@ -138,9 +139,15 @@ def scan(stream, grid: ScanGrid = ScanGrid(), eps: EpsRule = DEFAULT_EPS) -> Sca
     return ScanReport(grid, label, tuple(rows))
 
 
+def check_threshold(threshold: float) -> float:
+    """Return a verdict threshold as a float; raise ConfigError unless finite and positive."""
+    if not (math.isfinite(threshold) and threshold > 0):
+        raise ConfigError(f"threshold must be finite and positive, got {threshold!r}")
+    return float(threshold)
+
+
 def _classify(rows: tuple[ScanRow, ...], threshold: float) -> Verdict:
-    if threshold <= 0:
-        raise ConfigError("threshold must be positive")
+    check_threshold(threshold)
     sup_lower = rows[-1].running_sup_lower
     inf_upper = rows[-1].running_inf_upper
     if sup_lower > threshold and inf_upper < -threshold:

@@ -30,7 +30,7 @@ from .errors import (
     WitnessImpossibleError,
 )
 from .montecarlo import ExperimentConfig, estimate_properties
-from .series_eval import check_terms
+from .series_eval import check_finite_sums, check_terms
 from .symmetry import orbit_sum, orbit_values, sign_witness
 from .witnesses import witness_positive
 
@@ -269,6 +269,7 @@ def _cmd_orbit_check(ns) -> int:
     model = _model_from(merged, "orbit-check")
     stream = SequenceStream(model, merged["seed"], merged["index"])
     check_terms(merged["n"], "orbit-check --n")
+    check_finite_sums(model.k * model.max_abs_float, merged["n"])   # the orbit sum adds k series
     prefix = stream.prefix(merged["n"])
     x = merged["x"]
     vals = orbit_values(prefix, x)

@@ -98,6 +98,12 @@ class CoefficientModel:
             raise ConfigError("all weights must be positive")
         if sum(self.weights) != 1:
             raise ConfigError("weights must sum to 1 exactly")
+        for v in self.values:
+            try:
+                float(v)
+            except OverflowError:
+                raise ConfigError("coefficient value too large for a binary64 float "
+                                  "(above about 1.8e308)") from None
 
     @classmethod
     def create(

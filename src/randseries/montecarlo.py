@@ -2,9 +2,10 @@
 
 Each sample gets its own stream keyed by (master_seed, sample_index), so
 reports are a pure function of the configuration and identical for any worker
-count; workers affect scheduling only.  Fractions of samples come with Wilson
-95% intervals, which stay informative near 0 and 1 where the zero-one
-behaviour pushes them.
+count; workers affect scheduling only.  Outcomes are folded into one verdict
+counter as they arrive, so memory does not grow with the sample count.
+Fractions of samples come with Wilson 95% intervals, which stay informative
+near 0 and 1 where the zero-one behaviour pushes them.
 """
 
 from __future__ import annotations
@@ -12,12 +13,14 @@ from __future__ import annotations
 import math
 import multiprocessing
 import warnings
+from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .boundary_scan import ScanGrid, Verdict, scan, verdicts_by_depth
+from .boundary_scan import ScanGrid, Verdict, check_threshold, scan, verdicts_by_depth
 from .coefficients import CoefficientModel, MeanSign, SequenceStream
 from .errors import ConfigError
 from .series_eval import check_term_budget
@@ -38,6 +41,9 @@ _WILSON_Z = 1.959963984540054
 
 HIST_BIN_WIDTH = 0.5
 HIST_RANGE = 100.0
+
+# Cap on samples per pool task: only a few outcomes are ever in flight.
+_MAX_CHUNK = 256
 
 _CALIBRATION_NOTE = (
     "finite-scale verdict thresholds and depth grids are calibration choices, "
@@ -71,68 +77,74 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.num_samples < 1:
             raise ConfigError("num_samples must be >= 1")
-        if self.threshold <= 0:
-            raise ConfigError("threshold must be positive")
-        if self.eps <= 0:
+        check_threshold(self.threshold)
+        if not self.eps > 0:
             raise ConfigError("eps must be positive")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
 
 
-def _map_samples(fn, args: Sequence, workers: int) -> list:
-    """Order-preserving map; a fork pool only changes scheduling, not results."""
-    if workers <= 1 or len(args) <= 1:
-        return [fn(a) for a in args]
+def _map_samples(kernel, count: int, workers: int):
+    """Yield kernel(i) for i in range(count) in order; a fork pool only changes scheduling."""
+    if workers <= 1 or count <= 1:
+        yield from map(kernel, range(count))
+        return
     ctx = multiprocessing.get_context("fork")
-    chunk = max(1, len(args) // (workers * 4))
+    chunk = min(_MAX_CHUNK, max(1, count // (workers * 4)))
     with ctx.Pool(workers) as pool:
-        return pool.map(fn, args, chunksize=chunk)
+        yield from pool.imap(kernel, range(count), chunksize=chunk)
 
 
-def _histogram_add(counts: dict, value: float) -> None:
-    if value < -HIST_RANGE:
-        counts["under"] = counts.get("under", 0) + 1
-    elif value >= HIST_RANGE:
-        counts["over"] = counts.get("over", 0) + 1
+def _histogram_add(counts: Counter, value: float) -> None:
+    if -HIST_RANGE <= value < HIST_RANGE:
+        counts[int(math.floor((value + HIST_RANGE) / HIST_BIN_WIDTH))] += 1
     else:
-        idx = int(math.floor((value + HIST_RANGE) / HIST_BIN_WIDTH))
-        counts[idx] = counts.get(idx, 0) + 1
+        counts["under" if value < 0 else "over"] += 1
 
 
-def _histogram_data(counts: dict) -> dict:
+def _histogram_data(counts: Counter) -> dict:
     bins = sorted((k, v) for k, v in counts.items() if isinstance(k, int))
     return {
         "bin_width": HIST_BIN_WIDTH,
         "range": [-HIST_RANGE, HIST_RANGE],
         "bins": [[k, v] for k, v in bins],
-        "underflow": counts.get("under", 0),
-        "overflow": counts.get("over", 0),
+        "underflow": counts["under"],
+        "overflow": counts["over"],
     }
 
 
-def _scan_samples(config: ExperimentConfig, grid: ScanGrid, thresholds: tuple) -> list:
-    """Scan every sample's stream; the budget is checked once, before any sample."""
-    check_term_budget(config.model.max_abs_float,
-                      ((x, config.eps) for x in grid.points()), "scan grid")
-    args = [(config.model, config.master_seed, i, grid, config.eps, thresholds)
-            for i in range(config.num_samples)]
-    return _map_samples(_sample_kernel, args, config.workers)
-
-
-def _sample_kernel(args) -> tuple:
+def _sample_kernel(model, seed, grid, eps, thresholds, index) -> tuple:
     """Per-threshold verdict names at every depth, plus the certified running extrema."""
-    model, seed, index, grid, eps, thresholds = args
     report = scan(SequenceStream(model, seed, index), grid, eps)
     per_threshold = tuple(tuple(v.value for _, v in verdicts_by_depth(report, t))
                           for t in thresholds)
     return per_threshold, report.running_sup_lower, report.running_inf_upper
 
 
+def _fold_samples(config: ExperimentConfig, grid: ScanGrid, thresholds: tuple):
+    """Scan every sample and fold each outcome in as it arrives.
+
+    Verdicts go into one Counter keyed by (threshold slot, grid row, verdict
+    name), the running sup/inf into two histogram Counters.  The term budget
+    is checked once, before any sample or pool starts.
+    """
+    check_term_budget(config.model.max_abs_float,
+                      ((x, config.eps) for x in grid.points()), "scan grid")
+    kernel = partial(_sample_kernel, config.model, config.master_seed, grid,
+                     config.eps, thresholds)
+    tally, hist_sup, hist_inf = Counter(), Counter(), Counter()
+    for per_threshold, sup_f, inf_f in _map_samples(kernel, config.num_samples,
+                                                    config.workers):
+        for slot, per_depth in enumerate(per_threshold):
+            tally.update((slot, row, name) for row, name in enumerate(per_depth))
+        _histogram_add(hist_sup, sup_f)
+        _histogram_add(hist_inf, inf_f)
+    return tally, hist_sup, hist_inf
+
+
 @dataclass(frozen=True)
 class EstimateReport:
     config: ExperimentConfig
-    depths: tuple[float, ...]
-    counts: dict
     counts_by_depth: tuple[dict, ...]
     hist_sup: dict
     hist_inf: dict
@@ -141,6 +153,15 @@ class EstimateReport:
     # A budget overrun fails the whole run before any sample, so every sample
     # completes; the field stays so the data section's field set is stable.
     budget_errors: ClassVar[int] = 0
+
+    @property
+    def depths(self) -> tuple[float, ...]:
+        return tuple(self.config.grid.deltas())
+
+    @property
+    def counts(self) -> dict:
+        """Final verdict counts: the verdict at the deepest grid row."""
+        return self.counts_by_depth[-1]
 
     @property
     def completed(self) -> int:
@@ -180,34 +201,14 @@ class EstimateReport:
 
 
 def estimate_properties(config: ExperimentConfig) -> EstimateReport:
-    """Scan + classify one stream per sample; aggregate verdict frequencies."""
-    depths = tuple(config.grid.deltas())
-    outcomes = _scan_samples(config, config.grid, (config.threshold,))
-
-    names = [v.value for v in Verdict]
-    counts = {name: 0 for name in names}
-    by_depth = [{name: 0 for name in names} for _ in depths]
-    hist_sup: dict = {}
-    hist_inf: dict = {}
-    for (per_depth,), sup_f, inf_f in outcomes:
-        counts[per_depth[-1]] += 1
-        for slot, name in zip(by_depth, per_depth):
-            slot[name] += 1
-        _histogram_add(hist_sup, sup_f)
-        _histogram_add(hist_inf, inf_f)
-
-    return EstimateReport(
-        config=config,
-        depths=depths,
-        counts=counts,
-        counts_by_depth=tuple(by_depth),
-        hist_sup=_histogram_data(hist_sup),
-        hist_inf=_histogram_data(hist_inf),
-    )
+    """Scan + classify one stream per sample; fold verdict frequencies as they arrive."""
+    tally, hist_sup, hist_inf = _fold_samples(config, config.grid, (config.threshold,))
+    by_depth = tuple({v.value: tally[0, row, v.value] for v in Verdict}
+                     for row in range(len(config.grid.deltas())))
+    return EstimateReport(config, by_depth, _histogram_data(hist_sup), _histogram_data(hist_inf))
 
 
-def _walk_one(args) -> bool:
-    model, seed, index, m, horizon = args
+def _walk_one(model, seed, m, horizon, index) -> bool:
     stream = SequenceStream(model, seed, index)
     scaled, _den = model.integer_scaled()
     table = np.array(scaled, dtype=np.int64)
@@ -246,10 +247,8 @@ def walk_positivity(config: ExperimentConfig, m: int, horizon: int = 1_000_000
             "so the event probability tends to 0",
             stacklevel=2,
         )
-    args = [(config.model, config.master_seed, i, m, horizon)
-            for i in range(config.num_samples)]
-    hits = _map_samples(_walk_one, args, config.workers)
-    successes = sum(hits)
+    kernel = partial(_walk_one, config.model, config.master_seed, m, horizon)
+    successes = sum(_map_samples(kernel, config.num_samples, config.workers))
     return WalkPositivityEstimate(
         m=m, horizon=horizon, successes=successes, samples=config.num_samples,
         fraction=successes / config.num_samples,
@@ -283,9 +282,9 @@ def zero_one_diagnostic(config: ExperimentConfig, depths: Sequence[float],
     depth grows; the table makes the finite-scale trend inspectable.
     """
     depths = sorted(set(float(d) for d in depths), reverse=True)
-    if not depths:
-        raise ConfigError("need at least one depth")
-    thresholds = tuple(thresholds)
+    thresholds = tuple(check_threshold(t) for t in thresholds)
+    if not (depths and thresholds):
+        raise ConfigError("need at least one depth and one threshold")
     grid = config.grid.deepened(min(depths))
     grid_deltas = grid.deltas()
     predicted = _PREDICTED[config.model.mean_sign()]
@@ -298,16 +297,15 @@ def zero_one_diagnostic(config: ExperimentConfig, depths: Sequence[float],
             raise ConfigError(f"depth {d} is shallower than the grid start")
         row_for_depth[d] = rows[-1]
 
-    outcomes = _scan_samples(config, grid, thresholds)
+    tally, _sup, _inf = _fold_samples(config, grid, thresholds)
     total = config.num_samples
     out = []
     for d in depths:
         row = row_for_depth[d]
-        for j, t in enumerate(thresholds):
-            hits = sum(per_threshold[j][row] == predicted.value
-                       for per_threshold, _sup, _inf in outcomes)
+        for slot, t in enumerate(thresholds):
+            hits = tally[slot, row, predicted.value]
             out.append(DiagnosticRow(
-                depth=d, threshold=float(t), predicted=predicted.value,
+                depth=d, threshold=t, predicted=predicted.value,
                 hits=hits, samples=total, fraction=hits / total,
                 wilson_95=wilson_interval(hits, total),
             ))

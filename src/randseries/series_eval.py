@@ -26,6 +26,7 @@ __all__ = [
     "DEFAULT_TERM_BUDGET",
     "TERM_BUDGET_ENV",
     "WalkLowerBound",
+    "check_finite_sums",
     "check_term_budget",
     "check_terms",
     "eval_abel_form",
@@ -131,6 +132,16 @@ def rounding_slack(n_terms: int, abs_sum: float) -> float:
     return 4.0 * n_terms * _EPS * abs_sum + _TINY
 
 
+def check_finite_sums(max_abs: float, n_terms: int) -> None:
+    """Raise ConfigError unless max|d| * N, which bounds every partial sum, is finite.
+
+    Called before any summation, so an overflowing sum fails loudly instead of
+    yielding an inf/NaN enclosure (or a numpy overflow warning).
+    """
+    if not math.isfinite(max_abs * n_terms):
+        raise ConfigError(f"{n_terms} terms of size up to {max_abs!r} overflow binary64 sums")
+
+
 def _power_sum(coeffs: np.ndarray, x: float) -> tuple[float, float]:
     """Return (sum of a_n x^n, sum of |a_n| x^n) for n = 1..len(coeffs).
 
@@ -171,6 +182,7 @@ def eval_truncated(stream, x: float, n_terms: int) -> BoundedValue:
     max_abs = stream.model.max_abs_float
     if x == 0.0:
         return BoundedValue(x, n_terms, 0.0, 0.0, 0.0)
+    check_finite_sums(max_abs, n_terms)
     coeffs = stream.float_coefficients(n_terms)
     value, abs_sum = _power_sum(coeffs, x)
     return BoundedValue(x, n_terms, value, tail_bound(max_abs, x, n_terms),
@@ -179,15 +191,16 @@ def eval_truncated(stream, x: float, n_terms: int) -> BoundedValue:
 
 def eval_prefix(prefix: FinitePrefix, x: float) -> BoundedValue:
     """Evaluate a finite prefix polynomial (no tail: the series stops at N)."""
-    return _eval_polynomial(prefix.floats, x)
+    return _eval_polynomial(prefix.floats, x, prefix.model.max_abs_float)
 
 
-def _eval_polynomial(coeffs: np.ndarray, x: float) -> BoundedValue:
-    """Evaluate sum a_n x^n over the float coefficients a_1..a_N, with no tail."""
+def _eval_polynomial(coeffs: np.ndarray, x: float, max_abs: float) -> BoundedValue:
+    """Evaluate sum a_n x^n over float coefficients a_1..a_N, |a_n| <= max_abs, with no tail."""
     x = _check_x(x)
     n = coeffs.shape[0]
     if x == 0.0:
         return BoundedValue(x, n, 0.0, 0.0, 0.0)
+    check_finite_sums(max_abs, n)
     value, abs_sum = _power_sum(coeffs, x)
     return BoundedValue(x, n, value, 0.0, rounding_slack(n, abs_sum))
 
@@ -226,7 +239,9 @@ def check_term_budget(max_abs: float, points: Iterable, what: str) -> None:
     coefficients, so one check decides for every stream of the model.
     """
     for i, (x, eps) in enumerate(points):
-        check_terms(required_terms(max_abs, x, eps), f"{what} point {i}, x={x!r}")
+        n = required_terms(max_abs, x, eps)
+        check_terms(n, f"{what} point {i}, x={x!r}")
+        check_finite_sums(max_abs, n)
 
 
 def eval_to_eps(stream, x: float, eps: float) -> BoundedValue:
@@ -264,9 +279,9 @@ def eval_abel_form(prefix: FinitePrefix, x):
     x = _check_x(x)
     if x == 0.0:
         return 0.0
+    check_finite_sums(prefix.model.max_abs_float * n, n)   # |S_n| <= max|d| * N
     sums = np.cumsum(prefix.floats)
-    powers = np.cumprod(np.full(n, x))
-    core = float(np.sum(sums * powers)) * (1.0 - x)
+    core = _power_sum(sums, x)[0] * (1.0 - x)
     return core + float(sums[-1]) * x ** (n + 1)
 
 

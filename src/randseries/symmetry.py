@@ -44,8 +44,8 @@ def orbit_values(prefix: FinitePrefix, x) -> list:
             rotated = apply_perm(prefix, j)
             out.append(sum((a * x ** n for n, a in enumerate(rotated.values, 1)), Fraction(0)))
         return out
-    table = prefix.model.floats
-    return [_eval_polynomial(table[(np.arange(k) + j) % k][prefix.index_array], x)
+    table, max_abs = prefix.model.floats, prefix.model.max_abs_float
+    return [_eval_polynomial(table[(np.arange(k) + j) % k][prefix.index_array], x, max_abs)
             for j in range(k)]
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .coefficients import CoefficientModel, FinitePrefix
 from .errors import ConfigError, PreconditionError, WitnessImpossibleError
-from .series_eval import rounding_slack
+from .series_eval import check_finite_sums, rounding_slack
 
 __all__ = [
     "Cylinder",
@@ -68,6 +68,7 @@ def prefix_infimum(prefix: FinitePrefix, grid_size: int = DEFAULT_GRID_SIZE) -> 
     g = int(grid_size)
     if g < 1:
         raise ConfigError(f"grid_size must be >= 1, got {g}")
+    check_finite_sums(prefix.model.max_abs_float, len(prefix))
     coeffs = prefix.floats
     xs = np.arange(g + 1, dtype=np.float64) / g
     vals = np.zeros_like(xs)
@@ -77,9 +78,11 @@ def prefix_infimum(prefix: FinitePrefix, grid_size: int = DEFAULT_GRID_SIZE) -> 
     vals *= xs
     i = int(np.argmin(vals))
     estimate = float(vals[i])
-    lipschitz = float(sum((n + 1) * abs(c) for n, c in enumerate(coeffs)))
+    lipschitz = float(sum((n + 1) * abs(c) for n, c in enumerate(coeffs.tolist())))
     eval_slack = rounding_slack(len(prefix), float(np.abs(coeffs).sum()))
     lower = _dn(estimate - _up(lipschitz / (2.0 * g)) - eval_slack)
+    if not math.isfinite(lower):
+        raise ConfigError(f"prefix infimum bound {lower!r} is not finite in binary64")
     return PrefixInfimum(prefix, estimate, lower, float(xs[i]), g)
 
 

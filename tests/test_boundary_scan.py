@@ -139,8 +139,9 @@ class TestVerdictRule:
 
     def test_threshold_must_be_positive(self):
         report = _fake_report([1.0], [1e-2])
-        with pytest.raises(ConfigError):
-            verdict(report, 0.0)
+        for bad in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigError):
+                verdict(report, bad)
 
     def test_oscillation_stable_under_refinement(self):
         base = [12.0, -12.0, 0.0]

@@ -206,6 +206,12 @@ class TestFailFast:
         (["crossings", "--set", "-1,1", "--max-brackets", "-3"], {}),
         (["scan", "--set", "-1,1", "--config", '{"scan": {"seed": "abc"}}'], {}),
         (["scan", "--set", "-1,1", "--config", '{"scan": 5}'], {}),
+        (["scan", "--set", "1e400,1"], {}),
+        (["scan", "--set", "1e308,-1e308", "--depth", "1e-2"], {}),
+        (["crossings", "--set", "1e308,-1e308", "--window", "1e-1:1e-2"], {}),
+        (["orbit-check", "--set", "1e308,-1e308", "--n", "1000"], {}),
+        (["orbit-check", "--set", "1.79e305,1.78e305", "--n", "1000"], {}),
+        (["witness", "--set", "1e308,-1e308", "--prefix", "1e308,1e308"], {}),
     ])
     def test_invalid_input_exit_two(self, argv, env, monkeypatch, capsys, tmp_path):
         for key, value in env.items():

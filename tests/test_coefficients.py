@@ -43,6 +43,7 @@ class TestModelValidation:
             (["0", "1"], ["1/2", "1/3"]),       # sum != 1
             (["0", "1"], ["0", "1"]),           # positive weights
             (["0", "1"], ["1/2"]),              # one weight per value
+            (["1e400", "1"], None),             # float mirror overflows
         ],
     )
     def test_invalid_models_rejected(self, values, weights):

@@ -1,5 +1,6 @@
 import json
 import warnings
+from dataclasses import replace
 
 import pytest
 from scipy import stats
@@ -56,6 +57,9 @@ class TestConfigValidation:
             ExperimentConfig(M11, 10, 1, threshold=0.0)
         with pytest.raises(ConfigError):
             ExperimentConfig(M11, 10, 1, workers=0)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError):
+                ExperimentConfig(M11, 10, 1, threshold=bad)
 
 
 class TestEstimateProperties:
@@ -102,6 +106,28 @@ class TestEstimateProperties:
         with pytest.raises(BudgetExceededError):
             zero_one_diagnostic(small_config(M11, samples=5), [1e-3], [1.0])
 
+    def test_samples_folded_in_order_as_they_finish(self, monkeypatch):
+        # with one worker, sample i's outcome is folded before sample i+1 is scanned
+        events = []
+        real_scan, real_add = montecarlo.scan, montecarlo._histogram_add
+
+        def logged_scan(stream, *args, **kwargs):
+            events.append(("scan", stream.sample_index))
+            return real_scan(stream, *args, **kwargs)
+
+        def logged_add(counts, value):
+            events.append(("fold",))
+            real_add(counts, value)
+
+        monkeypatch.setattr(montecarlo, "scan", logged_scan)
+        monkeypatch.setattr(montecarlo, "_histogram_add", logged_add)
+        estimate_properties(small_config(M11, samples=4))
+        assert events == [e for i in range(4) for e in (("scan", i), ("fold",), ("fold",))]
+
+    def test_pooled_map_keeps_order_past_the_chunk_cap(self):
+        count = 5 * montecarlo._MAX_CHUNK + 3
+        assert list(montecarlo._map_samples(abs, count, 2)) == list(range(count))
+
     def test_histograms_cover_samples(self):
         report = estimate_properties(small_config(M11))
         for hist in (report.hist_sup, report.hist_inf):
@@ -110,6 +136,11 @@ class TestEstimateProperties:
 
 
 class TestWalkPositivity:
+    def test_worker_count_invisible(self):
+        config = ExperimentConfig(M01, 40, 6, grid=SMALL_GRID)
+        pooled = ExperimentConfig(M01, 40, 6, grid=SMALL_GRID, workers=2)
+        assert walk_positivity(config, 2, horizon=200) == walk_positivity(pooled, 2, horizon=200)
+
     def test_bernoulli_event_is_first_coordinate(self):
         # for D = {0,1}: S_l > 0 for all l > 0 iff a_1 = 1, so p = 1/2 exactly
         config = ExperimentConfig(M01, 2000, 5, grid=SMALL_GRID)
@@ -171,6 +202,33 @@ class TestZeroOneDiagnostic:
         config = ExperimentConfig(M01, 10, 3, grid=SMALL_GRID)
         rows = zero_one_diagnostic(config, depths=[1e-2], thresholds=[5.0])
         assert len(rows) == 1
+
+    def test_worker_count_invisible(self):
+        rows = [zero_one_diagnostic(small_config(M11, samples=30, workers=w),
+                                    depths=[1e-1, 1e-2, 1e-3], thresholds=[1.0, 2.0, 5.0])
+                for w in (1, 2)]
+        assert rows[0] == rows[1]
+        assert len(rows[0]) == 9
+
+    def test_hits_match_estimate_per_threshold(self):
+        config = small_config(M11, samples=30)
+        rows = zero_one_diagnostic(config, depths=[1e-1, 1e-2, 1e-3], thresholds=[1.0, 2.0, 5.0])
+        reports = {t: estimate_properties(replace(config, threshold=t)) for t in (1.0, 2.0, 5.0)}
+        for r in rows:
+            report = reports[r.threshold]
+            row = max(i for i, d in enumerate(report.depths) if d >= r.depth * (1 - 1e-9))
+            assert r.hits == report.counts_by_depth[row][r.predicted]
+        assert len({r.hits for r in rows if r.depth == 1e-3}) > 1   # thresholds tell apart
+
+    @pytest.mark.parametrize("thresholds", [[], [0.0], [-1.0], [float("nan")],
+                                            [float("inf")], [2.0, float("nan")]])
+    def test_bad_thresholds_rejected_before_sampling(self, thresholds, monkeypatch):
+        def no_scan(*args, **kwargs):
+            raise AssertionError("a sample was scanned")
+
+        monkeypatch.setattr(montecarlo, "scan", no_scan)
+        with pytest.raises(ConfigError):
+            zero_one_diagnostic(small_config(M11, samples=20, workers=2), [1e-2], thresholds)
 
     def test_depth_shallower_than_grid_rejected(self):
         config = ExperimentConfig(M01, 10, 3, grid=SMALL_GRID)

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from randseries import (
     BudgetExceededError,
+    ConfigError,
     ScanGrid,
     SequenceStream,
     eval_abel_form,
@@ -50,6 +51,19 @@ class TestEvalTruncated:
             eval_truncated(ALL_ONES, 1.0, 5)
         with pytest.raises(ValueError):
             eval_truncated(ALL_ONES, -0.1, 5)
+
+    def test_overflowing_partial_sums_rejected_before_summing(self):
+        # max|d| * N bounds every partial sum; 2e308 overflows binary64
+        huge = parse_model("1e308,-1e308")
+        stream = SequenceStream(huge, 0, 0)
+        with np.errstate(all="raise"):
+            assert np.isfinite(eval_truncated(stream, 0.5, 1).value)
+            with pytest.raises(ConfigError):
+                eval_truncated(stream, 0.5, 2)
+            with pytest.raises(ConfigError):
+                eval_prefix(stream.prefix(2), 0.5)
+            with pytest.raises(ConfigError):
+                eval_to_eps(stream, 0.99, 1e-2)
 
     def test_long_sum_matches_closed_form(self):
         # 1e6 terms of the all-ones series, against x(1-x^N)/(1-x)
@@ -152,6 +166,13 @@ class TestAbelForm:
                 direct = eval_prefix(p, x).value
                 abel = eval_abel_form(p, x)
                 assert abs(abel - direct) <= 1e-10 * (1 + abs(direct))
+
+    def test_overflowing_partial_sums_rejected(self):
+        huge = parse_model("5e307,-5e307")        # max|d| * N^2 = 2e308 at N = 2
+        p = SequenceStream(huge, 0, 0).prefix(2)
+        with np.errstate(all="raise"), pytest.raises(ConfigError):
+            eval_abel_form(p, 0.5)
+        assert np.isfinite(eval_abel_form(SequenceStream(huge, 0, 0).prefix(1), 0.5))
 
     def test_partial_sums_telescope(self):
         p = SequenceStream(M11, 42, 0).prefix(30)

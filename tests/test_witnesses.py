@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from randseries import (
+    ConfigError,
     FinitePrefix,
     PatchedStream,
     SequenceStream,
@@ -65,6 +66,15 @@ class TestPrefixInfimum:
             lo = prefix_infimum(p, grid_size=1024).lower_bound
             hi = prefix_infimum(p, grid_size=2048).lower_bound
             assert hi >= lo
+
+
+    def test_overflowing_prefix_rejected(self):
+        huge = parse_model("1e306,-1e306")
+        with pytest.raises(ConfigError):        # max|d| * N = 2e308
+            prefix_infimum(prefix_of(parse_model("1e308,-1e308"), ["1e308", "1e308"]))
+        with pytest.raises(ConfigError):        # max|d| * N finite, Lipschitz bound 1.9e308
+            prefix_infimum(prefix_of(huge, ["1e306"] * 19))
+        assert np.isfinite(prefix_infimum(prefix_of(huge, ["1e306"] * 2)).lower_bound)
 
 
 class TestWitnessPositive:
