@@ -12,11 +12,12 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, Union
 
-from .errors import ConfigError
+from .errors import BudgetExceededError, ConfigError
 from .series_eval import check_term_budget, eval_to_eps
 
 __all__ = [
     "DEFAULT_EPS",
+    "MAX_GRID_POINTS",
     "PropertyVerdict",
     "ScanGrid",
     "ScanReport",
@@ -33,6 +34,9 @@ DEFAULT_EPS = 0.01
 # Tolerance for "delta >= delta_min" style comparisons on grid geometry, so a
 # float ratio chain like 0.1 * 0.5**13 counts as >= 1.22e-5 when intended.
 _REL_FUZZ = 1e-9
+
+# Largest grid a scan may build; ``ScanGrid.deltas`` checks it in closed form.
+MAX_GRID_POINTS = 100_000
 
 EpsRule = Union[float, Callable[[float], float]]
 
@@ -51,8 +55,26 @@ class ScanGrid:
         if not (0.0 < self.ratio < 1.0):
             raise ConfigError("ratio must lie in (0, 1)")
 
+    def size(self) -> int:
+        """Number of grid points, in closed form: the first m with
+        delta_start * ratio^m <= delta_min * (1 + _REL_FUZZ), plus one.
+
+        It equals ``len(deltas())`` unless a product of the float chain lies
+        within a few ulps of the fuzzed end, where it may differ by one.
+        """
+        end = self.delta_min * (1.0 + _REL_FUZZ)
+        return max(math.ceil(math.log(end / self.delta_start) / math.log(self.ratio)), 0) + 1
+
     def deltas(self) -> list[float]:
-        """Distances 1-x, strictly decreasing; the last one is exactly delta_min."""
+        """Distances 1-x, strictly decreasing; the last one is exactly delta_min.
+
+        Raises:
+            BudgetExceededError: if the grid has more than MAX_GRID_POINTS
+                points; checked before the list is built.
+        """
+        size = self.size()
+        if size > MAX_GRID_POINTS:
+            raise BudgetExceededError(size, MAX_GRID_POINTS, context="scan grid point count")
         out = []
         d = self.delta_start
         while d > self.delta_min * (1.0 + _REL_FUZZ):

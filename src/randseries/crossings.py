@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ConfigError
-from .series_eval import check_term_budget, eval_to_eps
+from .series_eval import MomentTable, check_term_budget, eval_to_eps
 
 __all__ = [
     "CrossingReport",
@@ -26,7 +26,7 @@ __all__ = [
 
 POINTS_PER_DECADE = 64
 REFINE_WIDTH_FACTOR = 1e-3     # target bracket width: 1e-3 * (1 - x) locally
-REFINE_BUDGET = 20             # extra evaluations allowed per bracket
+REFINE_BUDGET = 20             # a bracket gets at most REFINE_BUDGET + 1 extra evaluations
 
 
 @dataclass(frozen=True)
@@ -81,9 +81,10 @@ def _refine(stream, y: float, a: float, sa: int, b: float, sb: int,
             eps: float) -> RootBracket:
     """Bisect to width <= REFINE_WIDTH_FACTOR * (1-b), keeping both certificates.
 
-    Indeterminate midpoints are retried with a 4x tighter tail tolerance, up to
-    REFINE_BUDGET extra evaluations; if that runs out the current (wider
-    but still certified) bracket is returned.
+    Indeterminate midpoints are retried with a 4x tighter tail tolerance.  The
+    loop evaluates while at most REFINE_BUDGET evaluations have been made, so
+    a bracket gets up to REFINE_BUDGET + 1 extra evaluations; if they run
+    out, the current (wider but still certified) bracket is returned.
     """
     extra = 0
     eps_local = eps
@@ -113,7 +114,8 @@ def find_crossings(stream, y: float, window: tuple[float, float], eps: float = 1
         max_brackets: stop (and flag truncation) after this many brackets, >= 1.
 
     The term budget is checked, and eps validated, at every grid point before
-    any evaluation.
+    any evaluation.  Every point, refinement midpoints included, is then
+    evaluated from one ``MomentTable`` of the stream.
     """
     x_lo, x_hi = window
     if not (0.0 < x_lo < x_hi < 1.0):
@@ -122,20 +124,21 @@ def find_crossings(stream, y: float, window: tuple[float, float], eps: float = 1
         raise ConfigError(f"max_brackets must be >= 1, got {max_brackets!r}")
 
     grid = _detection_grid(x_lo, x_hi)
-    check_term_budget(stream.model.max_abs_float, ((x, eps) for x in grid),
-                      "crossings grid")
+    n_max = check_term_budget(stream.model.max_abs_float, ((x, eps) for x in grid),
+                              "crossings grid")
+    table = MomentTable(stream, n_max)
     brackets: list[RootBracket] = []
     indeterminate: list[float] = []
     truncated = False
     prev_x: Optional[float] = None
     prev_sign = 0
     for x in grid:
-        s = _certified_sign(eval_to_eps(stream, x, eps), y)
+        s = _certified_sign(eval_to_eps(table, x, eps), y)
         if s == 0:
             indeterminate.append(x)
             continue
         if prev_sign != 0 and s != prev_sign:
-            brackets.append(_refine(stream, y, prev_x, prev_sign, x, s, eps))
+            brackets.append(_refine(table, y, prev_x, prev_sign, x, s, eps))
             if len(brackets) >= max_brackets:
                 truncated = True
                 break

@@ -13,6 +13,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 from typing import Iterable, Optional
 
@@ -24,6 +25,7 @@ from .errors import BudgetExceededError, ConfigError
 __all__ = [
     "BoundedValue",
     "DEFAULT_TERM_BUDGET",
+    "MomentTable",
     "TERM_BUDGET_ENV",
     "WalkLowerBound",
     "check_finite_sums",
@@ -54,6 +56,14 @@ _BLOCK = 1 << 16
 # exponents ~1e8, while perturbing only the 13th digit of the bound.
 _INFLATE = 1.0 + 2.0 ** -40
 _TINY = 1e-300
+# Block-moment table (``MomentTable``): moments of order 0.._ORDER about each
+# block's centre, used for a point only where s * B / 2 <= _TAU (s = -ln x,
+# B the block length).  _TAU^(J+1) e^(2 _TAU) / (J+1)! = 3.4e-15 <= 2^-40.
+_ORDER = 8
+_TAU = 0.1
+_BASE = 16                  # terms per base block: one 16-bit code per value indicator
+_POW_ULPS = 16              # allowance for one np.power (glibc and SIMD pow: a few ulps)
+_GEN_CHUNK = 1 << 16        # terms generated per index_range call while filling a table
 
 
 def term_budget() -> int:
@@ -173,8 +183,216 @@ def _power_sum(coeffs: np.ndarray, x: float) -> tuple[float, float]:
     return math.fsum(sums), math.fsum(abs_sums)
 
 
+@lru_cache(maxsize=None)
+def _code_moments(order: int) -> np.ndarray:
+    """Row j, column c: the sum of u_p^j over the set bits p of the 16-bit code c.
+
+    u_p = (2p - 15) / 16 is the offset of term p of a base block from the
+    block centre in units of half the block length.  Every entry is a sum of
+    at most 16 numbers m^j / 16^j with odd |m| <= 15, so it is exact in
+    binary64 for order <= 12.  Built on first use, once per process.
+    """
+    codes = np.arange(1 << _BASE)
+    u = (2.0 * np.arange(_BASE) - (_BASE - 1)) / _BASE
+    powers = np.cumprod(np.vstack([np.ones(_BASE)] + [u] * order), axis=0)
+    table = np.zeros((order + 1, 1 << _BASE))
+    for p in range(_BASE):
+        table += powers[:, p, None] * ((codes >> p) & 1)
+    table.flags.writeable = False
+    return table
+
+
+def _base_moments(model, indices: np.ndarray, order: int) -> np.ndarray:
+    """Moments m_j = sum a_i u_i^j of the 16-term blocks of ``indices``, one column each.
+
+    With a_i = d_0 + sum_{v >= 1} (d_v - d_0) [index_i = v], a block's
+    moments are one code lookup per value indicator v >= 1, plus d_0 times
+    the moments of the full code.
+    """
+    table = _code_moments(order)
+    d = model.floats
+    out = None
+    for v in range(1, model.k):
+        codes = np.packbits(indices == v, bitorder="little").view("<u2")
+        part = np.take(table, codes, axis=1)
+        part *= d[v] - d[0]
+        if out is None:
+            out = part
+        else:
+            out += part
+    out += (d[0] * table[:, -1])[:, None]
+    return out
+
+
+def _pair_moments(child: np.ndarray) -> np.ndarray:
+    """Moments of each pair of adjacent blocks about the pair's centre.
+
+    In units of the parent's half length a term's offset is (u - 1)/2 in the
+    left child and (u + 1)/2 in the right one, so
+    m_j = 2^-j sum_{l <= j} C(j, l) (m^R_l + (-1)^(j-l) m^L_l).
+    """
+    pairs = child.shape[1] // 2
+    left, right = child[:, 0:2 * pairs:2], child[:, 1:2 * pairs:2]
+    both, diff = left + right, right - left
+    out = np.empty_like(both)
+    for j in range(child.shape[0]):
+        acc = out[j]
+        acc[:] = both[j]
+        for l in range(j - 1, -1, -1):
+            acc += math.comb(j, l) * (both[l] if (j - l) % 2 == 0 else diff[l])
+        acc *= 0.5 ** j
+    return out
+
+
+def _table_error(order: int, level: int, k: int) -> float:
+    """Error of a table evaluation relative to max|d| * sum_{n<=N} x^n (see MomentTable)."""
+    remainder = _TAU ** (order + 1) / math.factorial(order + 1)
+    roundings = 3 * (k + 2) + level * (order + 2) + 3 * (order + 1) + 2 * _POW_ULPS + 3
+    return math.exp(2.0 * _TAU) * (remainder + roundings * _EPS)
+
+
+class MomentTable:
+    """Block moments of one stream's prefix: many evaluations from one pass over it.
+
+    With s = -ln x, f(x) = sum a_n e^(-s n) is a discrete Laplace transform,
+    and the table evaluates it at many s (Rokhlin, J. Complexity 4, 1988).
+    Level L splits the terms into blocks of B = 16 * 2^L with centres c; a
+    block stores m_j = sum a_i u_i^j, u_i = (i - c) / (B/2), for j <= J.  The
+    base level comes from one lookup of a 65,536-row table of exact code
+    moments per value indicator (``_code_moments``), each parent level from
+    its two children (``_pair_moments``).
+
+    A point (x, N) uses the largest level with s B/2 <= tau for the full
+    blocks of its first N terms, then at most one block from each lower
+    level, and adds the last N mod 16 terms a_n x^n one by one.  A block
+    contributes x^c * sum_j m_j t^j / j! with t = -s B/2.  When no level
+    qualifies, or N < 16, every term is summed directly, bit for bit as
+    ``eval_truncated`` does on the stream.  The table is filled on the first
+    evaluation and grows when a point needs more terms.
+
+    The slack of a table evaluation is ``rounding_slack(N, A)`` plus
+    ``_table_error * A``, with A = max|d| * sum x^n (closed form, inflated
+    outward) >= sum |a_n x^n|.  Every block term obeys |a_i| x^c <=
+    e^tau |a_i| x^i and |m_j| <= max|d| B, so each source below, taken
+    relative to max|d| B x^c e^tau, is at most e^(2 tau) A over all blocks:
+
+    - the Taylor remainder: |e^-z - sum_{j<=J} (-z)^j/j!| <= tau^(J+1)
+      e^tau / (J+1)! for |z| <= tau;
+    - base moments: exact code moments times d_0 and d_v - d_0, added in
+      k steps: at most 3(k + 2) u;
+    - each moment shift: the sum and difference, the binomial products and
+      the j additions add at most (J + 2) u per level;
+    - the series: t^j / j! is the product of the rounded t/1 .. t/j (2j - 1
+      roundings), times m_j (one more), summed over j in order (J more):
+      3(J + 1) u;
+    - x^c: one ``np.power`` (``_POW_ULPS`` ulps) and the product, plus the
+      rounding of s = -ln x, which moves e^(-s u B/2) by at most 0.4 u.
+
+    Here u = eps_machine / 2; the bound counts each rounding as 2u to cover
+    second-order terms.  The leftover terms (one power and one product
+    each, at most 2 _POW_ULPS + 1 = 33 u) and the pairwise sum of the at
+    most N/16 + log2 N + 15 values (that many u) stay below
+    e^(2 tau) (N/16 + log2 N + 48) u of A, which ``rounding_slack(N, A)``
+    (8 N u A) covers for N >= 16.
+    """
+
+    def __init__(self, stream, n_terms: int):
+        self.model = stream.model
+        self._stream = stream
+        self._order = _ORDER
+        self._reserve = n_terms         # the first evaluation fills at least this many terms
+        self._indices = np.empty(0, dtype=np.min_scalar_type(self.model.k - 1))
+        self._levels = [np.empty((self._order + 1, 0))]
+
+    @property
+    def n_terms(self) -> int:
+        """Terms the table holds: a multiple of 16, 0 before the first evaluation."""
+        return self._indices.shape[0]
+
+    def _extend(self, n_terms: int) -> None:
+        have = self.n_terms
+        want = -(-n_terms // _BASE) * _BASE
+        if want <= have:
+            return
+        indices = np.empty(want, dtype=self._indices.dtype)
+        indices[:have] = self._indices
+        base = np.empty((self._order + 1, (want - have) // _BASE))
+        for lo in range(have, want, _GEN_CHUNK):
+            hi = min(lo + _GEN_CHUNK, want)
+            chunk = indices[lo:hi]
+            chunk[:] = self._stream.index_range(lo + 1, hi + 1)
+            base[:, (lo - have) // _BASE:(hi - have) // _BASE] = _base_moments(
+                self.model, chunk, self._order)
+        self._indices = indices
+        levels = self._levels
+        levels[0] = np.concatenate([levels[0], base], axis=1) if have else base
+        level = 1
+        while levels[level - 1].shape[1] >= 2:
+            child = levels[level - 1]
+            if level == len(levels):
+                levels.append(np.empty((self._order + 1, 0)))
+            done = levels[level].shape[1]
+            if 2 * done + 2 <= child.shape[1]:
+                fresh = _pair_moments(child[:, 2 * done:])
+                levels[level] = np.concatenate([levels[level], fresh], axis=1) if done else fresh
+            level += 1
+
+    def _level(self, s: float) -> int:
+        """The largest level whose blocks have s * B/2 <= tau, or -1 if none has."""
+        level = -1
+        while level + 1 < len(self._levels) and s * (_BASE << (level + 1)) / 2 <= _TAU:
+            level += 1
+        return level
+
+    def power_sum(self, x: float, n_terms: int) -> tuple[float, float]:
+        """(sum of a_n x^n for n = 1..N, its rounding slack), for 0 < x < 1."""
+        self._extend(max(n_terms, self._reserve))
+        level = self._level(-math.log(x))
+        if level < 0 or n_terms < _BASE:
+            value, abs_sum = _power_sum(self._floats(0, n_terms), x)
+            return value, rounding_slack(n_terms, abs_sum)
+        size = _BASE << level
+        count = n_terms // size
+        parts = [self._levels[level][:, :count]]
+        starts = [np.arange(0, count * size, size)]
+        sizes = [np.full(count, size)]
+        pos = count * size
+        for lower in range(level - 1, -1, -1):
+            size = _BASE << lower
+            if n_terms - pos >= size:
+                parts.append(self._levels[lower][:, pos // size:pos // size + 1])
+                starts.append([pos])
+                sizes.append([size])
+                pos += size
+        sizes = np.concatenate(sizes)
+        # row j of the series: m_j * t^j / j!, with t^j / j! the product of t/1 .. t/j
+        series = np.empty((self._order + 1, sizes.shape[0]))
+        series[0] = 1.0
+        np.divide(math.log(x) * (sizes / 2), np.arange(1.0, self._order + 1)[:, None],
+                  out=series[1:])
+        np.cumprod(series, axis=0, out=series)
+        series *= np.concatenate(parts, axis=1)
+        # the leftover terms a_n x^n ride along as blocks of one term centred at n
+        terms = np.concatenate([series.sum(axis=0), self._floats(pos, n_terms)])
+        centres = np.concatenate([np.concatenate(starts) + (sizes + 1) / 2,
+                                  np.arange(pos + 1, n_terms + 1)])
+        terms *= np.power(x, centres)
+        abs_bound = (self.model.max_abs_float * x * -math.expm1(n_terms * math.log(x))
+                     / (1.0 - x) * _INFLATE)
+        return float(terms.sum()), (rounding_slack(n_terms, abs_bound)
+                                    + _table_error(self._order, level, self.model.k) * abs_bound)
+
+    def _floats(self, lo: int, hi: int) -> np.ndarray:
+        """Float mirrors of coefficients a_(lo+1)..a_hi."""
+        return self.model.floats[self._indices[lo:hi]]
+
+
 def eval_truncated(stream, x: float, n_terms: int) -> BoundedValue:
-    """Evaluate the first N terms of the stream's series at x with certified radii."""
+    """Evaluate the first N terms of the series at x with certified radii.
+
+    ``stream`` is a coefficient stream (direct power sum) or a
+    ``MomentTable`` of one (block moments; see its docstring for the slack).
+    """
     x = _check_x(x)
     n_terms = int(n_terms)
     if n_terms < 1:
@@ -183,10 +401,12 @@ def eval_truncated(stream, x: float, n_terms: int) -> BoundedValue:
     if x == 0.0:
         return BoundedValue(x, n_terms, 0.0, 0.0, 0.0)
     check_finite_sums(max_abs, n_terms)
-    coeffs = stream.float_coefficients(n_terms)
-    value, abs_sum = _power_sum(coeffs, x)
-    return BoundedValue(x, n_terms, value, tail_bound(max_abs, x, n_terms),
-                        rounding_slack(n_terms, abs_sum))
+    if isinstance(stream, MomentTable):
+        value, slack = stream.power_sum(x, n_terms)
+    else:
+        value, abs_sum = _power_sum(stream.float_coefficients(n_terms), x)
+        slack = rounding_slack(n_terms, abs_sum)
+    return BoundedValue(x, n_terms, value, tail_bound(max_abs, x, n_terms), slack)
 
 
 def eval_prefix(prefix: FinitePrefix, x: float) -> BoundedValue:
@@ -232,16 +452,20 @@ def check_terms(n_terms: int, context: str) -> None:
         raise BudgetExceededError(n_terms, limit, context=context)
 
 
-def check_term_budget(max_abs: float, points: Iterable, what: str) -> None:
+def check_term_budget(max_abs: float, points: Iterable, what: str) -> int:
     """Check every (x, eps) point an operation will evaluate, before the first one.
 
     A point's term count depends only on (max|d|, x, eps), never on the
     coefficients, so one check decides for every stream of the model.
+    Returns the largest term count (0 for no points).
     """
+    most = 0
     for i, (x, eps) in enumerate(points):
         n = required_terms(max_abs, x, eps)
         check_terms(n, f"{what} point {i}, x={x!r}")
         check_finite_sums(max_abs, n)
+        most = max(most, n)
+    return most
 
 
 def eval_to_eps(stream, x: float, eps: float) -> BoundedValue:

@@ -13,7 +13,7 @@ from randseries import (
     verdict,
     verdicts_by_depth,
 )
-from randseries.boundary_scan import ScanReport, ScanRow, _classify
+from randseries.boundary_scan import MAX_GRID_POINTS, ScanReport, ScanRow, _classify
 
 from .streams import PatternStream
 
@@ -46,6 +46,24 @@ class TestScanGrid:
     def test_invalid_grids(self, kwargs):
         with pytest.raises(ConfigError):
             ScanGrid(**{"delta_start": 0.1, "ratio": 0.5, "delta_min": 1e-5, **kwargs})
+
+    @pytest.mark.parametrize("start", [0.5, 0.3, 0.1, 0.05])
+    @pytest.mark.parametrize("ratio", [0.1, 0.5, 0.7, 0.9, 0.99, 0.999])
+    def test_closed_form_size_matches_the_loop(self, start, ratio):
+        for depth in (start, 1e-2, 1e-3, 1e-5, 1e-9, start * ratio ** 3, start * ratio ** 13):
+            if depth <= start:
+                grid = ScanGrid(start, ratio, depth)
+                assert grid.size() == len(grid.deltas()), depth
+
+    def test_grid_point_budget_edge(self):
+        # 1 - 1e-5 ratio: each step shrinks delta by 1e-5 relative
+        ratio = 1.0 - 1e-5
+        at = ScanGrid(0.5, ratio, 0.5 * ratio ** (MAX_GRID_POINTS - 1))
+        assert at.size() == len(at.deltas()) == MAX_GRID_POINTS
+        over = ScanGrid(0.5, ratio, 0.5 * ratio ** MAX_GRID_POINTS)
+        with pytest.raises(BudgetExceededError) as info:
+            over.deltas()
+        assert info.value.required == MAX_GRID_POINTS + 1
 
 
 class TestScan:

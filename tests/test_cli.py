@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -253,6 +254,21 @@ class TestFailFast:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert f"{argv[0]} grid point" in captured.err
+
+    @pytest.mark.parametrize("ratio", ["0.999999", "0.9999999999999999"])
+    def test_grid_point_count_over_budget_exit_three(self, ratio, monkeypatch, capsys):
+        def no_eval(*args, **kwargs):
+            raise AssertionError("a grid point was evaluated")
+
+        monkeypatch.setattr(boundary_scan, "eval_to_eps", no_eval)
+        start = time.perf_counter()
+        assert run(["scan", "--set", "-1,1", "--delta-start", "0.5", "--ratio", ratio,
+                    "--depth", "1e-5"]) == 3
+        assert time.perf_counter() - start < 5.0     # no grid list is built
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "scan grid point count" in captured.err
 
     def test_orbit_check_over_budget_exit_three_before_prefix(self, monkeypatch, capsys):
         def no_prefix(*args, **kwargs):

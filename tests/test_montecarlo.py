@@ -230,6 +230,15 @@ class TestZeroOneDiagnostic:
         with pytest.raises(ConfigError):
             zero_one_diagnostic(small_config(M11, samples=20, workers=2), [1e-2], thresholds)
 
+    def test_deepened_grid_over_point_budget_raises_before_sampling(self, monkeypatch):
+        def no_scan(*args, **kwargs):
+            raise AssertionError("a sample was scanned")
+
+        monkeypatch.setattr(montecarlo, "scan", no_scan)
+        config = ExperimentConfig(M11, 10, 3, grid=ScanGrid(0.1, 0.9999, 1e-2))
+        with pytest.raises(BudgetExceededError, match="scan grid point count"):
+            zero_one_diagnostic(config, depths=[1e-2, 1e-9], thresholds=[5.0])
+
     def test_depth_shallower_than_grid_rejected(self):
         config = ExperimentConfig(M01, 10, 3, grid=SMALL_GRID)
         with pytest.raises(ConfigError):
