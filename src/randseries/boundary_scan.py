@@ -10,7 +10,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Union
 
 from .errors import BudgetExceededError, ConfigError
 from .series_eval import check_term_budget, eval_to_eps
@@ -37,8 +36,6 @@ _REL_FUZZ = 1e-9
 
 # Largest grid a scan may build; ``ScanGrid.deltas`` checks it in closed form.
 MAX_GRID_POINTS = 100_000
-
-EpsRule = Union[float, Callable[[float], float]]
 
 
 @dataclass(frozen=True)
@@ -132,32 +129,24 @@ class ScanReport:
         return self.rows[-1].running_inf_upper
 
 
-def _as_rule(eps: EpsRule) -> Callable[[float], float]:
-    if callable(eps):
-        return eps
-    value = float(eps)
-    return lambda _x: value
-
-
-def scan(stream, grid: ScanGrid = ScanGrid(), eps: EpsRule = DEFAULT_EPS) -> ScanReport:
+def scan(stream, grid: ScanGrid = ScanGrid(), eps: float = DEFAULT_EPS) -> ScanReport:
     """One certified enclosure per grid point, with running certified extrema.
 
     The term budget is checked for every grid point before any evaluation.
     """
-    rule = _as_rule(eps)
+    label, eps = repr(eps), float(eps)
     check_term_budget(stream.model.max_abs_float,
-                      ((x, rule(x)) for x in grid.points()), "scan grid")
+                      ((x, eps) for x in grid.points()), "scan grid")
     rows = []
     sup_lower = -math.inf
     inf_upper = math.inf
     for m, delta in enumerate(grid.deltas()):
         x = 1.0 - delta
-        bv = eval_to_eps(stream, x, rule(x))
+        bv = eval_to_eps(stream, x, eps)
         sup_lower = max(sup_lower, bv.lower)
         inf_upper = min(inf_upper, bv.upper)
         rows.append(ScanRow(m, x, delta, bv.n_terms, bv.value,
                             bv.lower, bv.upper, sup_lower, inf_upper, bv.rounding_slack))
-    label = repr(eps) if not callable(eps) else "custom"
     return ScanReport(grid, label, tuple(rows))
 
 

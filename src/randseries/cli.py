@@ -19,7 +19,7 @@ import tempfile
 from typing import Optional
 
 from . import __version__
-from .boundary_scan import ScanGrid, ScanReport, scan, verdict
+from .boundary_scan import ScanGrid, ScanReport, check_threshold, scan, verdict
 from .coefficients import FinitePrefix, SequenceStream, _to_fraction, parse_model
 from .combinatorics import verify_matching
 from .crossings import find_crossings
@@ -30,8 +30,8 @@ from .errors import (
     WitnessImpossibleError,
 )
 from .montecarlo import ExperimentConfig, estimate_properties
-from .series_eval import check_finite_sums, check_terms
-from .symmetry import orbit_sum, orbit_values, sign_witness
+from .series_eval import check_terms
+from .symmetry import orbit_values, sign_witness
 from .witnesses import witness_positive
 
 __all__ = ["main", "run"]
@@ -84,6 +84,7 @@ _COMMON = {
     "set": (str, None),
     "weights": (str, None),
     "config": (str, None),
+    "out": (str, None),
 }
 
 _SPECS = {
@@ -91,8 +92,7 @@ _SPECS = {
         **_COMMON,
         "seed": (int, 0), "index": (int, 0),
         "delta_start": (float, 0.1), "ratio": (float, 0.5), "depth": (float, 1e-5),
-        "eps": (float, 0.01), "threshold": (float, 10.0),
-        "out": (str, None), "svg": (str, None),
+        "eps": (float, 0.01), "threshold": (float, 10.0), "svg": (str, None),
     },
     "estimate": {
         **_COMMON,
@@ -100,28 +100,26 @@ _SPECS = {
         "delta_start": (float, 0.1), "ratio": (float, 0.5), "depth": (float, 1e-5),
         "eps": (float, 0.01), "threshold": (float, 5.0),
         "workers": (int, None),      # resolved to machine parallelism
-        "out": (str, None),
     },
     "bijection": {
         **_COMMON,
-        "n": (int, None), "out": (str, None),
+        "n": (int, None),
     },
     "orbit-check": {
         **_COMMON,
         "seed": (int, 0), "index": (int, 0),
-        "x": (float, 0.999), "n": (int, 100_000), "out": (str, None),
+        "x": (float, 0.999), "n": (int, 100_000),
     },
     "crossings": {
         **_COMMON,
         "seed": (int, 0), "index": (int, 0),
         "y": (float, 0.0), "window": (str, "1e-2:1e-5"),
         "eps": (float, 1e-3), "max_brackets": (int, 10_000),
-        "out": (str, None),
     },
     "witness": {
         **_COMMON,
         "prefix": (str, None), "target": (float, 1.0),
-        "grid_size": (int, 1 << 16), "out": (str, None),
+        "grid_size": (int, 1 << 16),
     },
 }
 
@@ -210,30 +208,29 @@ def _scan_svg(report: ScanReport) -> str:
     return "\n".join(parts) + "\n"
 
 
-# --- subcommands -------------------------------------------------------------
+# --- subcommands: each maps (merged config, model) to (document, stderr summary) ---
 
-def _cmd_scan(ns) -> int:
-    merged = _merged_config("scan", ns)
-    model = _model_from(merged, "scan")
+def _stream(merged: dict, model) -> SequenceStream:
+    return SequenceStream(model, merged["seed"], merged["index"])
+
+
+def _cmd_scan(merged: dict, model) -> tuple[str, Optional[str]]:
     grid = ScanGrid(merged["delta_start"], merged["ratio"], merged["depth"])
-    stream = SequenceStream(model, merged["seed"], merged["index"])
+    stream = _stream(merged, model)
+    check_threshold(merged["threshold"])
     report = scan(stream, grid, merged["eps"])
     v = verdict(report, merged["threshold"])
     rows = [[r.m, repr(r.x), r.n_terms, repr(r.value), repr(r.lower), repr(r.upper),
              repr(r.running_sup_lower), repr(r.running_inf_upper)] for r in report.rows]
+    if merged["svg"]:
+        _atomic_write(merged["svg"], _scan_svg(report))
     doc = _csv_document(merged,
                         ["m", "x", "N_used", "value", "lower", "upper",
                          "running_sup_lower", "running_inf_upper"], rows)
-    _emit(doc, merged["out"])
-    if merged["svg"]:
-        _atomic_write(merged["svg"], _scan_svg(report))
-    print(f"verdict: {v.kind.value} (threshold {v.threshold})", file=sys.stderr)
-    return 0
+    return doc, f"verdict: {v.kind.value} (threshold {v.threshold})"
 
 
-def _cmd_estimate(ns) -> int:
-    merged = _merged_config("estimate", ns)
-    model = _model_from(merged, "estimate")
+def _cmd_estimate(merged: dict, model) -> tuple[str, Optional[str]]:
     if merged["workers"] is None:
         merged["workers"] = os.cpu_count() or 1
     config = ExperimentConfig(
@@ -245,38 +242,28 @@ def _cmd_estimate(ns) -> int:
         eps=merged["eps"],
         workers=merged["workers"],
     )
-    report = estimate_properties(config)
-    doc = _json_document(merged, report.data_dict())
-    _emit(doc, merged["out"])
-    return 0
+    return _json_document(merged, estimate_properties(config).data_dict()), None
 
 
-def _cmd_bijection(ns) -> int:
-    merged = _merged_config("bijection", ns)
-    model = _model_from(merged, "bijection")
+def _cmd_bijection(merged: dict, model) -> tuple[str, Optional[str]]:
     n = int(_require(merged, "n", "bijection"))
     report = verify_matching(model, n)
-    doc = _json_document(merged, report.to_data())
-    _emit(doc, merged["out"])
     ok = report.injective and report.sum_shift_exact and report.inverse_roundtrip
-    print(f"bijection verify N={n}: {'ok' if ok else 'VIOLATIONS FOUND'} "
-          f"(domain {report.matched_count}/{report.total_words})", file=sys.stderr)
-    return 0
+    return _json_document(merged, report.to_data()), (
+        f"bijection verify N={n}: {'ok' if ok else 'VIOLATIONS FOUND'} "
+        f"(domain {report.matched_count}/{report.total_words})")
 
 
-def _cmd_orbit_check(ns) -> int:
-    merged = _merged_config("orbit-check", ns)
-    model = _model_from(merged, "orbit-check")
-    stream = SequenceStream(model, merged["seed"], merged["index"])
+def _cmd_orbit_check(merged: dict, model) -> tuple[str, Optional[str]]:
+    stream = _stream(merged, model)
     check_terms(merged["n"], "orbit-check --n")
-    check_finite_sums(model.k * model.max_abs_float, merged["n"])   # the orbit sum adds k series
     prefix = stream.prefix(merged["n"])
     x = merged["x"]
-    vals = orbit_values(prefix, x)
-    total = orbit_sum(prefix, x)
+    witness = sign_witness(prefix, x) if model.coefficient_sum == 0 else None
+    vals = witness.values if witness else orbit_values(prefix, x)
+    total = sum(v.value for v in vals)      # orbit_sum's float order
     n = len(prefix)
-    s = float(model.coefficient_sum)
-    closed_form = s * (x - x ** (n + 1)) / (1.0 - x)
+    closed_form = float(model.coefficient_sum) * (x - x ** (n + 1)) / (1.0 - x)
     data = {
         "x": x,
         "n": n,
@@ -285,13 +272,10 @@ def _cmd_orbit_check(ns) -> int:
         "closed_form": closed_form,
         "residual": total - closed_form,
     }
-    if model.coefficient_sum == 0:
-        w = sign_witness(prefix, x)
-        data["nonneg_index"] = w.nonneg_index
-        data["nonpos_index"] = w.nonpos_index
-    doc = _json_document(merged, data)
-    _emit(doc, merged["out"])
-    return 0
+    if witness:
+        data["nonneg_index"] = witness.nonneg_index
+        data["nonpos_index"] = witness.nonpos_index
+    return _json_document(merged, data), None
 
 
 def _parse_window(spec: str) -> tuple[float, float]:
@@ -304,27 +288,20 @@ def _parse_window(spec: str) -> tuple[float, float]:
     return 1.0 - hi, 1.0 - lo
 
 
-def _cmd_crossings(ns) -> int:
-    merged = _merged_config("crossings", ns)
-    model = _model_from(merged, "crossings")
-    stream = SequenceStream(model, merged["seed"], merged["index"])
+def _cmd_crossings(merged: dict, model) -> tuple[str, Optional[str]]:
+    stream = _stream(merged, model)
     window = _parse_window(merged["window"])
     report = find_crossings(stream, merged["y"], window, merged["eps"],
                             merged["max_brackets"])
-    merged_echo = dict(merged)
-    merged_echo["indeterminate_cells"] = len(report.indeterminate_points)
-    merged_echo["truncated"] = report.truncated
+    echo = dict(merged, indeterminate_cells=len(report.indeterminate_points),
+                truncated=report.truncated)
     rows = [[repr(b.a), repr(b.b), b.sign_at_a, b.depth_decade] for b in report.brackets]
-    doc = _csv_document(merged_echo, ["a", "b", "sign_at_a", "depth_decade"], rows)
-    _emit(doc, merged["out"])
-    print(f"crossings: {len(report.brackets)} certified bracket(s), "
-          f"{len(report.indeterminate_points)} indeterminate cell(s)", file=sys.stderr)
-    return 0
+    return _csv_document(echo, ["a", "b", "sign_at_a", "depth_decade"], rows), (
+        f"crossings: {len(report.brackets)} certified bracket(s), "
+        f"{len(report.indeterminate_points)} indeterminate cell(s)")
 
 
-def _cmd_witness(ns) -> int:
-    merged = _merged_config("witness", ns)
-    model = _model_from(merged, "witness")
+def _cmd_witness(merged: dict, model) -> tuple[str, Optional[str]]:
     raw = _require(merged, "prefix", "witness")
     values = [_to_fraction(p, "prefix") for p in raw.split(",") if p.strip()]
     prefix = FinitePrefix.from_values(model, values)
@@ -340,9 +317,7 @@ def _cmd_witness(ns) -> int:
         "N": w.n_fixed,
         "margin": w.margin,
     }
-    doc = _json_document(merged, data)
-    _emit(doc, merged["out"])
-    return 0
+    return _json_document(merged, data), None
 
 
 _HANDLERS = {
@@ -396,7 +371,8 @@ def _fuse_flag_values(argv: list[str]) -> list[str]:
 
 
 def run(argv: Optional[list[str]] = None) -> int:
-    """Entry point returning the process exit code (0 ok, 2 config, 3 budget)."""
+    """Run one subcommand: merge the config, build the model, call the handler, emit
+    its document, print its summary on stderr.  Returns 0, 2 (config) or 3 (budget)."""
     parser = _build_parser()
     if argv is None:
         argv = sys.argv[1:]
@@ -405,16 +381,19 @@ def run(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _HANDLERS[ns.command](ns)
-    except (ConfigError, PreconditionError, WitnessImpossibleError) as exc:
+        merged = _merged_config(ns.command, ns)
+        model = _model_from(merged, ns.command)
+        doc, summary = _HANDLERS[ns.command](merged, model)
+        _emit(doc, merged["out"])
+    except (ConfigError, PreconditionError, WitnessImpossibleError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if summary:
+        print(summary, file=sys.stderr)
+    return 0
 
 
 def main() -> None:

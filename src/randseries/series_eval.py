@@ -63,7 +63,6 @@ _ORDER = 8
 _TAU = 0.1
 _BASE = 16                  # terms per base block: one 16-bit code per value indicator
 _POW_ULPS = 16              # allowance for one np.power (glibc and SIMD pow: a few ulps)
-_GEN_CHUNK = 1 << 16        # terms generated per index_range call while filling a table
 
 
 def term_budget() -> int:
@@ -316,26 +315,19 @@ class MomentTable:
             return
         indices = np.empty(want, dtype=self._indices.dtype)
         indices[:have] = self._indices
-        base = np.empty((self._order + 1, (want - have) // _BASE))
-        for lo in range(have, want, _GEN_CHUNK):
-            hi = min(lo + _GEN_CHUNK, want)
+        base = np.empty((self._order + 1, want // _BASE))
+        base[:, :have // _BASE] = self._levels[0]
+        for lo in range(have, want, _BLOCK):
+            hi = min(lo + _BLOCK, want)
             chunk = indices[lo:hi]
             chunk[:] = self._stream.index_range(lo + 1, hi + 1)
-            base[:, (lo - have) // _BASE:(hi - have) // _BASE] = _base_moments(
-                self.model, chunk, self._order)
+            base[:, lo // _BASE:hi // _BASE] = _base_moments(self.model, chunk, self._order)
         self._indices = indices
-        levels = self._levels
-        levels[0] = np.concatenate([levels[0], base], axis=1) if have else base
-        level = 1
-        while levels[level - 1].shape[1] >= 2:
-            child = levels[level - 1]
-            if level == len(levels):
-                levels.append(np.empty((self._order + 1, 0)))
-            done = levels[level].shape[1]
-            if 2 * done + 2 <= child.shape[1]:
-                fresh = _pair_moments(child[:, 2 * done:])
-                levels[level] = np.concatenate([levels[level], fresh], axis=1) if done else fresh
-            level += 1
+        # a parent column depends only on its two children: rebuilding the upper
+        # levels gives the same bits as extending them
+        self._levels = [base]
+        while self._levels[-1].shape[1] >= 2:
+            self._levels.append(_pair_moments(self._levels[-1]))
 
     def _level(self, s: float) -> int:
         """The largest level whose blocks have s * B/2 <= tau, or -1 if none has."""

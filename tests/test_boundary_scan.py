@@ -112,12 +112,6 @@ class TestScan:
             scan(SequenceStream(M11, 1, 0), ScanGrid(delta_min=1e-9), eps=0.01)
         assert "grid point" in str(exc.value)
 
-    def test_eps_rule_callable(self):
-        report = scan(PatternStream(M01, [1]), ScanGrid(delta_min=1e-2),
-                      eps=lambda x: 0.1 * (1 - x))
-        for r in report.rows:
-            assert r.upper - r.value <= 0.1 * r.delta + 2 * r.value * 1e-12 + 1e-12
-
 
 def _fake_report(certified_values, deltas, slack=0.0):
     rows = []

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import randseries
-from randseries import boundary_scan, crossings, montecarlo
+from randseries import boundary_scan, crossings, montecarlo, symmetry
 from randseries.cli import run
 from randseries.coefficients import SequenceStream
 
@@ -157,6 +157,19 @@ class TestOrbitCheckCommand:
         data = json.loads(capsys.readouterr().out)["data"]
         assert abs(data["residual"]) < 1e-12
 
+    @pytest.mark.parametrize("values,k", [("-1,0,1", 3), ("0,1", 2)])
+    def test_each_rotation_evaluated_once(self, values, k, monkeypatch, capsys):
+        calls = []
+        real = symmetry._eval_polynomial
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(symmetry, "_eval_polynomial", counting)
+        assert run(["orbit-check", "--set", values, "--x", "0.9", "--n", "300"]) == 0
+        assert len(calls) == k
+
 
 class TestCrossingsCommand:
     def test_csv_columns(self, tmp_path):
@@ -187,6 +200,51 @@ class TestWitnessCommand:
 
     def test_impossible_witness_exit_two(self, capsys):
         assert run(["witness", "--set", "-1,0", "--prefix", "0", "--target", "1"]) == 2
+
+
+# subcommand -> (leading arguments, options given as flags or as a config file)
+EMISSION_CASES = {
+    "scan": (["scan"], {"set": "0,1", "seed": 3, "depth": 1e-2}),
+    "estimate": (["estimate"], {"set": "-1,1", "samples": 4, "workers": 1, "depth": 1e-3,
+                                "threshold": 2.0}),
+    "bijection": (["bijection", "verify"], {"set": "-1,1", "n": 5}),
+    "orbit-check": (["orbit-check"], {"set": "-1,0,1", "x": 0.9, "n": 200}),
+    "crossings": (["crossings"], {"set": "-1,1", "seed": 12, "window": "1e-1:1e-3"}),
+    "witness": (["witness"], {"set": "-1,1", "prefix": "1,-1,1", "target": 10.0}),
+}
+
+
+def echoed_config(doc):
+    if doc.startswith("{"):
+        return json.loads(doc)["provenance"]["config"]
+    line = doc.splitlines()[1]
+    assert line.startswith("# config ")
+    return json.loads(line[len("# config "):])
+
+
+class TestSingleEmission:
+    @pytest.mark.parametrize("via_config", [False, True])
+    @pytest.mark.parametrize("command", list(EMISSION_CASES))
+    def test_out_file_holds_the_stdout_document(self, command, via_config, tmp_path, capsys):
+        head, options = EMISSION_CASES[command]
+        if via_config:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({command: options}), encoding="utf-8")
+            argv = head + ["--config", str(cfg)]
+        else:
+            argv = head + [a for key, value in options.items()
+                           for a in ("--" + key, str(value))]
+        assert run(argv) == 0
+        printed = capsys.readouterr()
+        out = tmp_path / "doc"
+        assert run(argv + ["--out", str(out)]) == 0
+        written = capsys.readouterr()
+        assert written.out == ""
+        assert written.err == printed.err
+        # the two documents differ only in the echoed --out value
+        assert read(out) == printed.out.replace('"out": null', f'"out": {json.dumps(str(out))}')
+        echoed = echoed_config(printed.out)
+        assert {key: echoed[key] for key in options} == options
 
 
 class TestFailFast:
@@ -269,6 +327,16 @@ class TestFailFast:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert "scan grid point count" in captured.err
+
+    def test_scan_bad_threshold_exit_two_before_scanning(self, monkeypatch, capsys):
+        def no_eval(*args, **kwargs):
+            raise AssertionError("a grid point was evaluated")
+
+        monkeypatch.setattr(boundary_scan, "eval_to_eps", no_eval)
+        assert run(["scan", "--set", "-1,1", "--threshold", "-1", "--depth", "1e-6"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: threshold must be finite and positive, got -1.0\n"
 
     def test_orbit_check_over_budget_exit_three_before_prefix(self, monkeypatch, capsys):
         def no_prefix(*args, **kwargs):
