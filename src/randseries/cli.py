@@ -3,7 +3,7 @@
 Every output file starts with a provenance header carrying the package version
 and the full merged configuration, and all data sections are byte-identical
 across reruns with the same flags.  Exit codes: 0 success, 2 configuration
-error, 3 term/word budget exceeded.
+error, 3 work budget exceeded.
 """
 
 from __future__ import annotations
@@ -38,16 +38,19 @@ __all__ = ["main", "run"]
 
 
 def _atomic_write(path: str, data: str) -> None:
+    """Write through a temp file in the target directory; errors name ``path``."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".randseries-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".randseries-")
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(data)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    finally:
+        if tmp and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _emit(doc: str, out: Optional[str]) -> None:

@@ -24,10 +24,10 @@ import numpy as np
 
 from .boundary_scan import DEFAULT_EPS, ScanGrid, scan
 from .coefficients import CoefficientModel, FinitePrefix, PatchedStream
-from .errors import BudgetExceededError, ConfigError
+from .errors import ConfigError
+from .series_eval import check_terms
 
 __all__ = [
-    "DEFAULT_WORD_BUDGET",
     "MatchingReport",
     "PositionClass",
     "ShiftScanReport",
@@ -40,10 +40,6 @@ __all__ = [
     "shift_up_indices",
     "verify_matching",
 ]
-
-# Counts the k^N * N cells of the word array, so it bounds the memory of every pass.
-DEFAULT_WORD_BUDGET = 50_000_000
-
 
 @dataclass(frozen=True)
 class PositionClass:
@@ -149,10 +145,8 @@ def _all_words(model: CoefficientModel, n: int) -> np.ndarray:
     """All k^N index words as rows of a (k^N, N) array, in lexicographic order."""
     if n < 1:
         raise ConfigError(f"word length N must be >= 1, got {n}")
-    cells = model.k ** n * n
-    if cells > DEFAULT_WORD_BUDGET:
-        raise BudgetExceededError(cells, DEFAULT_WORD_BUDGET,
-                                  context=f"enumerating k^N words at N={n}, in array cells")
+    # the k^N * N cells of the word array bound the memory of every pass
+    check_terms(model.k ** n * n, f"enumerating k^N words at N={n}, in array cells")
     dtype = np.min_scalar_type(model.k - 1)
     return np.indices((model.k,) * n, dtype=dtype).reshape(n, -1).T
 

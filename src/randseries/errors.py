@@ -14,7 +14,7 @@ class WitnessImpossibleError(ValueError):
 
 
 class BudgetExceededError(RuntimeError):
-    """A computation would need more terms (or word-array cells) than the budget.
+    """A computation would need more work (terms, cells, walk steps) than its budget.
 
     Raised instead of silently truncating; ``required`` reports how large the
     computation would have to be.

@@ -23,7 +23,7 @@ import numpy as np
 from .boundary_scan import ScanGrid, Verdict, check_threshold, scan, verdicts_by_depth
 from .coefficients import CoefficientModel, MeanSign, SequenceStream
 from .errors import ConfigError
-from .series_eval import check_term_budget
+from .series_eval import check_term_budget, check_terms
 
 __all__ = [
     "DiagnosticRow",
@@ -170,9 +170,6 @@ class EstimateReport:
     def fraction(self, kind: Verdict) -> float:
         return self.counts[kind.value] / self.completed
 
-    def wilson(self, kind: Verdict) -> tuple[float, float]:
-        return wilson_interval(self.counts[kind.value], self.completed)
-
     def data_dict(self) -> dict:
         cfg = self.config
         fractions = {k: v / self.completed for k, v in self.counts.items()}
@@ -238,6 +235,7 @@ def walk_positivity(config: ExperimentConfig, m: int, horizon: int = 1_000_000
         raise ConfigError("m must be nonnegative")
     if horizon <= m:
         raise ConfigError("horizon must exceed m")
+    check_terms(horizon, "walk positivity horizon")
     scaled, _den = config.model.integer_scaled()
     if max(abs(s) for s in scaled) * horizon >= 2 ** 62:
         raise ConfigError("scaled values too large for exact int64 partial sums")

@@ -66,7 +66,7 @@ _POW_ULPS = 16              # allowance for one np.power (glibc and SIMD pow: a 
 
 
 def term_budget() -> int:
-    """The per-evaluation term budget: RANDSERIES_TERM_BUDGET, else the default."""
+    """The work budget read by ``check_terms``: RANDSERIES_TERM_BUDGET, else the default."""
     env = os.environ.get(TERM_BUDGET_ENV)
     if env:
         try:
@@ -93,13 +93,6 @@ class BoundedValue:
     @property
     def upper(self) -> float:
         return self.value + self.tail_radius + self.rounding_slack
-
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
-
-    def contains(self, y: float) -> bool:
-        return self.lower <= y <= self.upper
 
 
 def _check_x(x: float) -> float:
@@ -438,7 +431,8 @@ def required_terms(max_abs: float, x: float, eps: float) -> int:
 
 
 def check_terms(n_terms: int, context: str) -> None:
-    """Raise BudgetExceededError if one evaluation of N terms exceeds the term budget."""
+    """Raise BudgetExceededError if n_terms units of work (evaluation terms, word-array
+    cells, prefix-infimum grid cells or walk steps) exceed the one work budget."""
     limit = term_budget()
     if n_terms > limit:
         raise BudgetExceededError(n_terms, limit, context=context)

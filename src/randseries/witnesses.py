@@ -19,7 +19,13 @@ import numpy as np
 
 from .coefficients import CoefficientModel, FinitePrefix
 from .errors import ConfigError, PreconditionError, WitnessImpossibleError
-from .series_eval import check_finite_sums, rounding_slack
+from .series_eval import (
+    check_finite_sums,
+    check_terms,
+    required_terms,
+    rounding_slack,
+    tail_bound,
+)
 
 __all__ = [
     "Cylinder",
@@ -33,6 +39,7 @@ __all__ = [
 
 DEFAULT_GRID_SIZE = 1 << 16
 _MAX_T_EXPONENT = 52          # 1 - 2^-t stays strictly below 1.0 in binary64
+_BELOW_ONE = math.nextafter(1.0, 0.0)   # a tail bound at most this is below 1
 
 _up = lambda v: math.nextafter(v, math.inf)
 _dn = lambda v: math.nextafter(v, -math.inf)
@@ -68,6 +75,7 @@ def prefix_infimum(prefix: FinitePrefix, grid_size: int = DEFAULT_GRID_SIZE) -> 
     g = int(grid_size)
     if g < 1:
         raise ConfigError(f"grid_size must be >= 1, got {g}")
+    check_terms(g + 1, "prefix infimum grid cells")
     check_finite_sums(prefix.model.max_abs_float, len(prefix))
     coeffs = prefix.floats
     xs = np.arange(g + 1, dtype=np.float64) / g
@@ -94,11 +102,6 @@ def _geom_sum_dn(x: float, lo: int, hi: int) -> float:
     if num <= 0.0:
         return 0.0
     return _dn(num / (1.0 - x))
-
-
-def _tail_sum_up(x: float, lo: int) -> float:
-    """Upper bound for sum_{n=lo}^{infinity} x^n = x^lo / (1-x)."""
-    return _up(_pow_up(x, lo) / (1.0 - x))
 
 
 @dataclass(frozen=True)
@@ -167,22 +170,11 @@ def witness_positive(prefix: FinitePrefix, m: float, *,
                                 f"certifies target {m} in binary64")
     x = 1.0 - 2.0 ** -t
 
-    min_d = model.min_value
-    neg = float(-min_d) if min_d < 0 else 0.0
-    if neg == 0.0:
-        n_fixed = big_m + 1
-    else:
-        # minimal N > M with neg * x^(N+1)/(1-x) < 1, settled outward
-        rough = math.log((1.0 - x) / neg) / math.log(x) - 1.0 if (1.0 - x) / neg < 1.0 else 1.0
-        n_fixed = max(big_m + 1, int(math.ceil(rough)))
-        while _up(neg * _tail_sum_up(x, n_fixed + 1)) >= 1.0:
-            n_fixed += 1
-        while n_fixed - 1 > big_m and _up(neg * _tail_sum_up(x, n_fixed)) < 1.0:
-            n_fixed -= 1
-
+    # minimal N > M at which an all-min(D) tail, neg * x^(N+1)/(1-x), is below 1
+    neg = float(max(-model.min_value, 0))
+    n_fixed = max(big_m + 1, required_terms(neg, x, _BELOW_ONE))
     lhs_full = _dn(r_lower + _dn(max_d_f * _geom_sum_dn(x, j + 1, n_fixed)))
-    if neg:
-        lhs_full = _dn(lhs_full - _up(neg * _tail_sum_up(x, n_fixed + 1)))
+    lhs_full = _dn(lhs_full - tail_bound(neg, x, n_fixed))
     margin = _dn(lhs_full - float(m))
     if margin <= 0.0:
         raise RuntimeError("outward-rounded certificate failed; construction is inconsistent")
@@ -227,9 +219,8 @@ def witness_nonzero_coordinate(prefix: FinitePrefix, m: int) -> Cylinder:
     if m < 0:
         raise ValueError("m must be nonnegative")
     model = prefix.model
-    nonzero = next((i for i, v in enumerate(model.values) if v != 0), None)
-    if nonzero is None:
-        raise RuntimeError("unreachable: k >= 2 distinct values include a nonzero one")
+    # k >= 2 distinct values always include a nonzero one
+    nonzero = next(i for i, v in enumerate(model.values) if v != 0)
     pos = max(len(prefix), m) + 1
     fixed = tuple((i + 1, ix) for i, ix in enumerate(prefix.indices)) + ((pos, nonzero),)
     return Cylinder(model, fixed)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import randseries
-from randseries import boundary_scan, crossings, montecarlo, symmetry
+from randseries import boundary_scan, crossings, montecarlo, symmetry, witnesses
 from randseries.cli import run
 from randseries.coefficients import SequenceStream
 
@@ -349,6 +349,18 @@ class TestFailFast:
         assert captured.out == ""
         assert "required 1001 > budget 1000" in captured.err
 
+    def test_witness_grid_over_budget_exit_three_before_allocating(self, monkeypatch,
+                                                                   capsys):
+        def no_arange(*args, **kwargs):
+            raise AssertionError("the grid was allocated")
+
+        monkeypatch.setenv("RANDSERIES_TERM_BUDGET", "1000")
+        monkeypatch.setattr(witnesses.np, "arange", no_arange)
+        assert run(["witness", "--set", "-1,1", "--prefix", "1", "--grid-size", "1000"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "required 1001 > budget 1000" in captured.err
+
     def test_bijection_over_word_budget_exit_three(self, capsys):
         assert run(["bijection", "verify", "--set", "-1,1", "--n", "22"]) == 3
         assert "required 92274688" in capsys.readouterr().err
@@ -380,3 +392,21 @@ class TestAtomicWrites:
         assert run(["scan", "--set", "0,1", "--depth", "1e-2", "--out", str(out)]) == 0
         leftovers = [p for p in os.listdir(tmp_path) if p.startswith(".randseries-")]
         assert not leftovers
+
+    def test_unwritable_out_names_the_out_path(self, tmp_path, capsys):
+        out = str(tmp_path / "missing-dir" / "x.csv")
+        errors = []
+        for _ in range(2):
+            assert run(["scan", "--set", "0,1", "--depth", "1e-2", "--out", out]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errors.append(captured.err)
+        assert errors[0] == errors[1] == f"error: [Errno 2] No such file or directory: {out!r}\n"
+
+    def test_failed_replace_leaves_no_temp_file(self, tmp_path, capsys):
+        target = tmp_path / "a-directory"
+        target.mkdir()
+        assert run(["witness", "--set", "-1,1", "--prefix", "1", "--out", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert repr(str(target)) in err and ".randseries-" not in err
+        assert sorted(os.listdir(tmp_path)) == ["a-directory"]

@@ -165,6 +165,13 @@ class TestDomainFraction:
             verify_matching(M11, 22)
         assert exc.value.required == 2 ** 22 * 22
 
+    def test_word_cells_obey_the_term_budget_variable(self, monkeypatch):
+        monkeypatch.setenv("RANDSERIES_TERM_BUDGET", "1000")
+        with pytest.raises(BudgetExceededError) as exc:
+            verify_matching(M11, 8)
+        assert (exc.value.required, exc.value.limit) == (2 ** 8 * 8, 1000)
+        assert verify_matching(M11, 6).total_words == 64     # 384 cells fit
+
     def test_empty_word_rejected(self):
         with pytest.raises(ConfigError):
             domain_fraction(M11, 0)

@@ -181,6 +181,17 @@ class TestWalkPositivity:
         with pytest.raises(ConfigError):
             walk_positivity(config, 5, horizon=5)
 
+    def test_horizon_over_budget_raises_before_any_sample(self, monkeypatch):
+        def no_walk(*args, **kwargs):
+            raise AssertionError("a sample was walked")
+
+        monkeypatch.setenv("RANDSERIES_TERM_BUDGET", "100")
+        monkeypatch.setattr(montecarlo, "_walk_one", no_walk)
+        config = ExperimentConfig(M01, 10, 1, grid=SMALL_GRID)
+        with pytest.raises(BudgetExceededError) as exc:
+            walk_positivity(config, 0, horizon=101)
+        assert (exc.value.required, exc.value.limit) == (101, 100)
+
 
 class TestZeroOneDiagnostic:
     def test_positive_mean_trend(self):

@@ -1,9 +1,12 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import randseries
 from randseries import (
     BudgetExceededError,
     ConfigError,
@@ -208,3 +211,31 @@ class TestPositiveWalkBound:
         p = PatternStream(M01, [1]).prefix(3)
         with pytest.raises(ValueError):
             lower_bound_from_positive_walk(p, 0.0, 0)
+
+
+def _budget_error_sites() -> set[tuple[str, str]]:
+    """(module, enclosing def or class path) of every ``BudgetExceededError(...)`` call."""
+    sites = set()
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, module, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name == "BudgetExceededError":
+                    sites.add((module, ".".join(scope)))
+            visit(child, module, scope)
+
+    for path in sorted(Path(randseries.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, ())
+    return sites
+
+
+class TestOneBudgetHome:
+    def test_budget_errors_are_built_in_two_places_only(self):
+        # every work budget goes through check_terms; the grid-point cap is the other one
+        assert _budget_error_sites() == {("series_eval", "check_terms"),
+                                         ("boundary_scan", "ScanGrid.deltas")}

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ from randseries import (
     eval_truncated,
     parse_model,
     prefix_infimum,
+    tail_bound,
     witness_nonzero_coordinate,
     witness_positive,
 )
@@ -127,6 +129,32 @@ class TestWitnessPositive:
         w100 = witness_positive(prefix_of(M11, [1, -1, 1]), 100.0)
         assert w100.run_end > w1.run_end
         assert w100.margin > 0
+
+
+class TestWitnessSoundness:
+    """Exact rational check of the certificate against the all-min(D) tail."""
+
+    # {-1/3, 1/7} stops at target 10: at 40 it pins N = 304,691 coordinates
+    @pytest.mark.parametrize("spec,weights,top", [
+        ("-1,1", None, 40.0), ("-1,0,1", None, 40.0), ("0,1", None, 40.0),
+        ("-2,1", None, 40.0), ("-1/3,1/7", None, 10.0), ("-1,1", "1/4,3/4", 40.0),
+    ])
+    @pytest.mark.parametrize("seed,length", [(0, 1), (1, 6)])
+    def test_certificate_holds_exactly_and_n_is_minimal(self, spec, weights, top, seed, length):
+        model = parse_model(spec, weights)
+        neg = float(max(-model.min_value, 0))
+        for target in (0.5, 3.0, top):
+            w = witness_positive(SequenceStream(model, seed, 0).prefix(length), target,
+                                 grid_size=4096)
+            j, n = length, w.n_fixed
+            assert n <= 100_000
+            x = 1 - Fraction(1, 2 ** w.t_exponent)
+            run = (x ** (j + 1) - x ** (n + 1)) / (1 - x)
+            tail = x ** (n + 1) / (1 - x)
+            lhs = Fraction(w.r_lower) + model.max_value * run + model.min_value * tail
+            assert lhs - Fraction(target) >= Fraction(w.margin) > 0
+            if n - 1 > w.run_end:
+                assert tail_bound(neg, w.x, n - 1) > math.nextafter(1.0, 0.0)
 
 
 class TestNonzeroCoordinateCylinder:
