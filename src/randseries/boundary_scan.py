@@ -132,11 +132,12 @@ class ScanReport:
 def scan(stream, grid: ScanGrid = ScanGrid(), eps: float = DEFAULT_EPS) -> ScanReport:
     """One certified enclosure per grid point, with running certified extrema.
 
-    The term budget is checked for every grid point before any evaluation.
+    The term budget is checked for every grid point before any evaluation,
+    and the stream's float cache is sized once for the deepest point.
     """
     label, eps = repr(eps), float(eps)
-    check_term_budget(stream.model.max_abs_float,
-                      ((x, eps) for x in grid.points()), "scan grid")
+    stream.reserve(check_term_budget(stream.model.max_abs_float,
+                                     ((x, eps) for x in grid.points()), "scan grid"))
     rows = []
     sup_lower = -math.inf
     inf_upper = math.inf

@@ -36,6 +36,9 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _STREAM_SALT = 0xD1B54A32D192ED03
 # Stream draws are generated in blocks of this many terms, in reused buffers.
 _GEN_BLOCK = 1 << 16
+# The mixer's last step, z ^= z >> 31, changes only bits 0-32 of a draw, so a
+# threshold that is a multiple of 2^33 compares the same before and after it.
+_LAST_STEP_GRID = 1 << 33
 
 
 def _mix64(z: int) -> int:
@@ -46,16 +49,20 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _mix64_inplace(z: np.ndarray, tmp: np.ndarray) -> None:
-    """SplitMix64 finalizer over a uint64 array, in place; ``tmp`` is scratch of the same size."""
+def _mix64_inplace(z: np.ndarray, tmp: np.ndarray, last_step: bool = True) -> None:
+    """SplitMix64 finalizer over a uint64 array, in place; ``tmp`` is scratch of the same size.
+
+    With ``last_step=False`` the final xor-shift is left out (see _LAST_STEP_GRID).
+    """
     np.right_shift(z, np.uint64(30), out=tmp)
     z ^= tmp
     z *= np.uint64(0xBF58476D1CE4E5B9)
     np.right_shift(z, np.uint64(27), out=tmp)
     z ^= tmp
     z *= np.uint64(0x94D049BB133111EB)
-    np.right_shift(z, np.uint64(31), out=tmp)
-    z ^= tmp
+    if last_step:
+        np.right_shift(z, np.uint64(31), out=tmp)
+        z ^= tmp
 
 
 def _to_fraction(v: RationalLike, what: str) -> Fraction:
@@ -287,6 +294,11 @@ class FinitePrefix:
         return cls(model, [model.index_of(v) for v in values])
 
 
+def _check_position(n: int) -> None:
+    if n < 1:
+        raise ConfigError(f"coefficient positions start at 1, got {n}")
+
+
 class _Stream:
     """Coefficient stream behaviour derived from the one primitive ``index_range``.
 
@@ -296,11 +308,16 @@ class _Stream:
 
     def __init__(self, model: CoefficientModel):
         self.model = model
-        self._floats = np.empty(0, dtype=np.float64)   # capacity grows by doubling
+        self._floats = np.empty(0, dtype=np.float64)   # capacity: reserved, else doubled
         self._have = 0                                  # entries filled so far
 
     def index_range(self, lo: int, hi: int) -> np.ndarray:
-        """Value indices of coefficients lo..hi-1 (1-based, half-open), as a new array."""
+        """Value indices of coefficients lo..hi-1 (1-based, half-open), as a new array
+        of the smallest unsigned type that holds k - 1.
+
+        Raises:
+            ConfigError: if lo < 1.
+        """
         raise NotImplementedError
 
     def index_at(self, n: int) -> int:
@@ -318,22 +335,35 @@ class _Stream:
             raise ConfigError("prefix length must be >= 1")
         return FinitePrefix(self.model, self.index_array(n_terms))
 
+    def reserve(self, n_terms: int) -> None:
+        """Give the float cache room for a_1..a_N without drawing anything, so that
+        ``float_coefficients`` up to N fills it in place."""
+        if n_terms > self._floats.shape[0]:
+            self._resize(n_terms)
+
+    def _resize(self, capacity: int) -> None:
+        grown = np.empty(capacity, dtype=np.float64)
+        grown[:self._have] = self._floats[:self._have]
+        self._floats = grown
+
     def float_coefficients(self, n_terms: int) -> np.ndarray:
         """Float mirrors of coefficients a_1..a_N as a read-only array view.
 
         The cache only grows: new entries are written past the filled ones
-        (into a buffer of doubled capacity when it is full), so every view
-        handed out earlier keeps its values, and regenerating any prefix
-        yields bit-identical values.
+        (into a buffer of doubled capacity when it is full and was not
+        reserved large enough), so every view handed out earlier keeps its
+        values, and regenerating any prefix yields bit-identical values.
         """
         have = self._have
         if n_terms > have:
             if n_terms > self._floats.shape[0]:
-                grown = np.empty(max(n_terms, 2 * have), dtype=np.float64)
-                grown[:have] = self._floats[:have]
-                self._floats = grown
+                self._resize(max(n_terms, 2 * have))
             idx = self.index_range(have + 1, n_terms + 1)
-            np.take(self.model.floats, idx, out=self._floats[have:n_terms], mode="clip")
+            new = self._floats[have:n_terms]
+            # block by block, because np.take widens its indices to intp
+            for lo in range(0, idx.shape[0], _GEN_BLOCK):
+                np.take(self.model.floats, idx[lo:lo + _GEN_BLOCK],
+                        out=new[lo:lo + _GEN_BLOCK], mode="clip")
             self._have = n_terms
         view = self._floats[:n_terms]
         view.flags.writeable = False
@@ -359,6 +389,7 @@ class SequenceStream(_Stream):
 
     def draw_at(self, n: int) -> int:
         """Raw 64-bit uniform draw behind the n-th coefficient (n >= 1)."""
+        _check_position(n)
         return _mix64((self._key + n * _GOLDEN) & _MASK64)
 
     def index_at(self, n: int) -> int:
@@ -367,21 +398,25 @@ class SequenceStream(_Stream):
 
     def index_range(self, lo: int, hi: int) -> np.ndarray:
         # SplitMix64 of key + n * golden, block by block in reused buffers; the
-        # value index is the number of thresholds at or below the draw.
+        # value index is the number of thresholds at or below the draw.  When
+        # every threshold is a multiple of 2^33 the mixer's last step is skipped.
         lo, hi = int(lo), int(hi)
+        _check_position(lo)
+        model = self.model
         count = max(hi - lo, 0)
-        out = np.empty(count, dtype=np.intp)
+        out = np.empty(count, dtype=np.min_scalar_type(model.k - 1))
         size = min(count, _GEN_BLOCK)
         steps = np.arange(size, dtype=np.uint64) * np.uint64(_GOLDEN)
         z = np.empty(size, dtype=np.uint64)
         tmp = np.empty(size, dtype=np.uint64)
         hit = np.empty(size, dtype=bool)
-        thresholds = [np.uint64(t) for t in self.model._thresholds]
+        thresholds = [np.uint64(t) for t in model._thresholds]
+        last_step = any(t % _LAST_STEP_GRID for t in model._thresholds)
         for start in range(0, count, _GEN_BLOCK):
             m = min(_GEN_BLOCK, count - start)
             zb, ob = z[:m], out[start:start + m]
             np.add(steps[:m], np.uint64((self._key + (lo + start) * _GOLDEN) & _MASK64), out=zb)
-            _mix64_inplace(zb, tmp[:m])
+            _mix64_inplace(zb, tmp[:m], last_step)
             np.greater_equal(zb, thresholds[0], out=ob)
             for t in thresholds[1:]:
                 np.greater_equal(zb, t, out=hit[:m])
@@ -400,7 +435,8 @@ class PatchedStream(_Stream):
             raise ConfigError("head index outside the coefficient set")
 
     def index_range(self, lo: int, hi: int) -> np.ndarray:
-        out = np.array(self.base.index_range(lo, hi), dtype=np.intp)
+        _check_position(lo)
+        out = self.base.index_range(lo, hi)
         stop = min(len(self.head_indices), hi - 1)
         if lo <= stop:
             out[:stop - lo + 1] = self.head_indices[lo - 1:stop]

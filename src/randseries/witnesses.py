@@ -118,7 +118,13 @@ class PositiveWitness:
     margin: float             # certified: f(x) - m >= margin for every tail
 
     def padded_indices(self) -> tuple[int, ...]:
-        """Value indices of the pinned coordinates 1..N (prefix then max-D run)."""
+        """Value indices of the pinned coordinates 1..N (prefix then max-D run).
+
+        Raises:
+            BudgetExceededError: if N exceeds the work budget; checked before
+                the tuple is built.
+        """
+        check_terms(self.n_fixed, "witness padded indices")
         model = self.prefix.model
         top = model.values.index(model.max_value)
         return self.prefix.indices + (top,) * (self.n_fixed - len(self.prefix))

@@ -20,5 +20,5 @@ class PatternStream(_Stream):
         self.pattern = tuple(int(i) for i in pattern)
 
     def index_range(self, lo: int, hi: int) -> np.ndarray:
-        cycle = np.array(self.pattern, dtype=np.intp)
+        cycle = np.array(self.pattern, dtype=np.min_scalar_type(self.model.k - 1))
         return cycle[(np.arange(lo, hi) - 1) % len(cycle)]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 
@@ -13,7 +14,8 @@ from randseries import (
     verdict,
     verdicts_by_depth,
 )
-from randseries.boundary_scan import MAX_GRID_POINTS, ScanReport, ScanRow, _classify
+from randseries.boundary_scan import DEFAULT_EPS, MAX_GRID_POINTS, ScanReport, ScanRow, _classify
+from randseries.series_eval import required_terms
 
 from .streams import PatternStream
 
@@ -111,6 +113,26 @@ class TestScan:
         with pytest.raises(BudgetExceededError) as exc:
             scan(SequenceStream(M11, 1, 0), ScanGrid(delta_min=1e-9), eps=0.01)
         assert "grid point" in str(exc.value)
+
+
+class TestScanMemory:
+    def test_one_float_buffer_sized_for_the_deepest_point(self):
+        # the float cache is sized once for the deepest point, indices take one
+        # byte and are looked up block by block: the scan peaks at 1.18 x
+        # 8 N_max, against 2.43 with a doubling buffer and 1.48 with one
+        # lookup (an intp copy of the indices) per increment
+        model = parse_model("-1,0,1", "1/4,1/4,1/2")
+        grid = ScanGrid(delta_min=1e-5)
+        n_max = max(required_terms(model.max_abs_float, x, DEFAULT_EPS) for x in grid.points())
+        stream = SequenceStream(model, 3, 0)
+        tracemalloc.start()
+        try:
+            scan(stream, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 8 * n_max
+        assert stream._floats.shape[0] == n_max
 
 
 def _fake_report(certified_values, deltas, slack=0.0):

@@ -139,6 +139,28 @@ class TestStreamDeterminism:
             assert not v.flags.writeable
             assert np.array_equal(v, fresh[:len(v)])
 
+    def test_reserve_sizes_the_buffer_once_and_draws_nothing(self):
+        s = SequenceStream(parse_model("-1,0,1", "1/4,1/4,1/2"), 11, 0)
+        s.reserve(300_000)
+        buffer = s._floats
+        assert s._have == 0 and buffer.shape[0] == 300_000
+        views = [s.float_coefficients(n) for n in (10, 70_000, 300_000)]
+        s.reserve(1000)                     # never shrinks
+        assert s._floats is buffer          # filled in place, no copy
+        fresh = SequenceStream(s.model, 11, 0).float_coefficients(300_000)
+        for v in views:
+            assert not v.flags.writeable
+            assert np.array_equal(v, fresh[:len(v)])
+
+    def test_reserve_after_filling_keeps_entries_and_views(self):
+        s = SequenceStream(parse_model("-1,1"), 11, 0)
+        early = s.float_coefficients(1000)
+        s.reserve(5000)
+        assert s._have == 1000 and s._floats.shape[0] == 5000
+        fresh = SequenceStream(s.model, 11, 0).float_coefficients(5000)
+        assert np.array_equal(early, fresh[:1000])
+        assert np.array_equal(s.float_coefficients(5000), fresh)
+
     def test_negative_sample_index_rejected(self):
         with pytest.raises(ConfigError):
             SequenceStream(parse_model("-1,1"), 0, -1)
@@ -161,7 +183,12 @@ class TestRangeAcrossGenerationBlocks:
     RANGES = [(1, 2 * G + 3), (G - 5, 3 * G + 7), (2**32 - G - 1, 2**32 + 2)]
 
     @pytest.mark.parametrize("lo,hi", RANGES)
-    @pytest.mark.parametrize("spec,weights", [("-1,1", None), ("-1,0,1", "1/4,1/4,1/2")])
+    @pytest.mark.parametrize("spec,weights", [
+        ("-1,1", None), ("-1,0,1", "1/4,1/4,1/2"),
+        ("-1,0,1", None),                                       # full mixer
+        ("-1,1", "1/4294967296,4294967295/4294967296"),         # threshold 2^32
+        ("-1,1", "1/2147483648,2147483647/2147483648"),         # threshold 2^33
+    ])
     def test_sequence_stream(self, spec, weights, lo, hi):
         s = SequenceStream(parse_model(spec, weights), 20170912, 7)
         assert s.index_range(lo, hi).tolist() == [s.index_at(n) for n in range(lo, hi)]
@@ -175,6 +202,57 @@ class TestRangeAcrossGenerationBlocks:
             expected = [head[n - 1] if n <= len(head) else base.index_at(n)
                         for n in range(lo, hi)]
             assert patched.index_range(lo, hi).tolist() == expected
+
+
+class TestIndexDtype:
+    """Stream indices use the smallest unsigned type that holds k - 1; prefixes stay intp."""
+
+    @pytest.mark.parametrize("spec,dtype", [("-1,1", np.uint8), ("-1,0,1", np.uint8)])
+    def test_sequence_and_patched_streams(self, spec, dtype):
+        s = SequenceStream(parse_model(spec), 5, 2)
+        assert np.min_scalar_type(s.model.k - 1) == dtype
+        assert s.index_range(1, 100).dtype == dtype
+        assert s.index_array(0).dtype == dtype
+        patched = PatchedStream(s, (1, 0, 1))
+        out = patched.index_range(1, 100)
+        assert out.dtype == dtype
+        assert out.tolist() == [1, 0, 1] + s.index_range(4, 100).tolist()
+
+    def test_k257_uses_uint16_and_matches_the_scalar_path(self):
+        model = CoefficientModel.create([str(v) for v in range(257)])
+        s = SequenceStream(model, 20170912, 7)
+        lo, hi = _GEN_BLOCK - 200, _GEN_BLOCK + 200
+        idx = s.index_range(lo, hi)
+        assert idx.dtype == np.uint16
+        assert idx.tolist() == [s.index_at(n) for n in range(lo, hi)]
+        assert PatchedStream(s, (256,)).index_range(1, 3).dtype == np.uint16
+
+    def test_finite_prefix_stays_intp(self):
+        p = SequenceStream(parse_model("-1,0,1"), 5, 2).prefix(50)
+        assert p.index_array.dtype == np.intp
+
+
+class TestOneBasedPositions:
+    """Coefficients are a_1, a_2, ...: position 0 and below are configuration errors."""
+
+    @pytest.mark.parametrize("lo", [0, -3])
+    def test_sequence_stream(self, lo):
+        s = SequenceStream(parse_model("-1,1"), 1, 0)
+        with pytest.raises(ConfigError):
+            s.index_range(lo, 4)
+        with pytest.raises(ConfigError):
+            s.index_at(lo)
+
+    @pytest.mark.parametrize("base", ["sequence", "pattern"])
+    def test_patched_stream(self, base):
+        m = parse_model("-1,1")
+        b = SequenceStream(m, 1, 0) if base == "sequence" else PatternStream(m, [0, 1])
+        patched = PatchedStream(b, (1, 1))
+        with pytest.raises(ConfigError):
+            patched.index_range(0, 4)
+        with pytest.raises(ConfigError):
+            patched.index_at(0)
+        assert patched.index_range(1, 4).tolist() == [1, 1, b.index_at(3)]
 
 
 class TestSamplingDistribution:

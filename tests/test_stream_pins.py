@@ -15,6 +15,11 @@ from randseries import SequenceStream, parse_model
 MODELS = {
     "k2": parse_model("-1,1"),
     "k3w": parse_model("-1,0,1", "1/4,1/4,1/2"),
+    # uniform thirds: thresholds off the 2^33 grid, so every draw takes the full mixer
+    "k3": parse_model("-1,0,1"),
+    # threshold 2^32, one bit below the 2^33 grid, and threshold 2^33, on it
+    "k2w32": parse_model("-1,1", "1/4294967296,4294967295/4294967296"),
+    "k2w33": parse_model("-1,1", "1/2147483648,2147483647/2147483648"),
 }
 
 NS = (1, 2**20, 2**20 + 1, 2**32 - 1, 2**32, 2**32 + 1)
@@ -45,6 +50,26 @@ GOLDEN = {
         (0, 2, 2, 2, 2, 2), (1, 2, 2, 2), (1, 2, 2, 2, 2),
         (0, 0, 2, 0, 2, 2, 2, 1, 0, 1, 1, 1),
         "6761845d9ab6f9987a8c05fdd7b84d8b25bb6c9437f703416bfe8c9941e6568a",
+    ),
+    ("k3", 0, 0): (
+        (2, 2, 2, 2, 2, 0), (2, 2, 2, 2), (0, 2, 2, 0, 2),
+        (2, 1, 0, 2, 0, 0, 0, 2, 0, 2, 1, 2),
+        "911f6f2b3c1669100cbb086243299d0dcb71b062b045212b2303295299918b25",
+    ),
+    ("k3", 20170912, 7): (
+        (0, 2, 2, 2, 1, 1), (1, 2, 2, 2), (0, 2, 1, 1, 1),
+        (0, 0, 2, 0, 2, 1, 1, 1, 0, 1, 1, 1),
+        "3d82a4045faa65e00dd89057cecfbcf5caf471e58c7e4d64b4976dafca48ccab",
+    ),
+    # a draw below 2^32 or 2^33 has probability 2^-32 or 2^-31, so these heads
+    # are all ones; TestThresholdEdgeDraws places draws on the thresholds
+    ("k2w32", 0, 0): (
+        (1, 1, 1, 1, 1, 1), (1, 1, 1, 1), (1, 1, 1, 1, 1), (1,) * 12,
+        "5af7d106f91bb6f55b985936cab10e92334448e0c8a662f2814e34b3d865769e",
+    ),
+    ("k2w33", 20170912, 7): (
+        (1, 1, 1, 1, 1, 1), (1, 1, 1, 1), (1, 1, 1, 1, 1), (1,) * 12,
+        "5af7d106f91bb6f55b985936cab10e92334448e0c8a662f2814e34b3d865769e",
     ),
 }
 
@@ -79,3 +104,62 @@ class TestGoldenStreams:
         idx = stream_of(key).index_array(100_000)
         digest = hashlib.sha256(idx.astype("<i8").tobytes()).hexdigest()
         assert digest == GOLDEN[key][4]
+
+
+# -- draws placed on the thresholds --------------------------------------------
+# The SplitMix64 finalizer is a bijection, so for any 64-bit draw u there is a
+# position n whose draw is u.  These inverses are written out independently of
+# the package, from the published constants.
+
+_M64 = (1 << 64) - 1
+
+
+def _unxorshift(y, s):
+    x = y
+    for _ in range(64 // s + 1):
+        x = y ^ (x >> s)
+    return x
+
+
+def _unmix(u):
+    z = _unxorshift(u, 31)
+    z = (z * pow(0x94D049BB133111EB, -1, 1 << 64)) & _M64
+    z = _unxorshift(z, 27)
+    z = (z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64)) & _M64
+    return _unxorshift(z, 30)
+
+
+def _position_of_draw(stream, u):
+    """The n >= 1 whose draw is u: key + n * golden = unmix(u) mod 2^64."""
+    return ((_unmix(u) - stream._key) * pow(0x9E3779B97F4A7C15, -1, 1 << 64)) & _M64
+
+
+EDGE_MODELS = ("k2", "k3w", "k3", "k2w32", "k2w33")
+
+
+@pytest.mark.parametrize("name", EDGE_MODELS)
+class TestThresholdEdgeDraws:
+    """Draws one step either side of every threshold pick the index the
+    definition gives (the number of thresholds at or below the draw), through
+    the range path and the scalar path alike."""
+
+    def test_index_at_threshold_edges(self, name):
+        model = MODELS[name]
+        s = SequenceStream(model, 20170912, 7)
+        for t in model._thresholds:
+            for u in (t - 2, t - 1, t, t + 1):
+                n = _position_of_draw(s, u)
+                assert s.draw_at(n) == u
+                expected = sum(u >= c for c in model._thresholds)
+                assert s.index_at(n) == expected
+                assert int(s.index_range(n, n + 1)[0]) == expected
+                assert s.index_range(n - 2, n + 3).tolist() == [
+                    s.index_at(i) for i in range(n - 2, n + 3)]
+
+
+def test_uniform_thirds_edges_need_the_last_mixer_step():
+    # the draw just below each threshold is at or above it before the last
+    # step, so a range path that skipped that step for uniform thirds would
+    # pick the wrong index in TestThresholdEdgeDraws
+    for t in MODELS["k3"]._thresholds:
+        assert _unxorshift(t - 1, 31) >= t

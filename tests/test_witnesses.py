@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from randseries import (
+    BudgetExceededError,
     ConfigError,
     FinitePrefix,
     PatchedStream,
@@ -123,6 +124,15 @@ class TestWitnessPositive:
         m = parse_model("-1,0")
         with pytest.raises(WitnessImpossibleError):
             witness_positive(prefix_of(m, [0]), 1.0)
+
+    def test_padded_indices_obey_the_work_budget(self):
+        # at target 1e6 a {-1,1} witness pins about 7e12 coordinates: the
+        # witness itself is cheap, but spelling them out must fail fast
+        w = witness_positive(SequenceStream(M11, 0, 0).prefix(4), 1e6, grid_size=4096)
+        assert w.n_fixed > 10 ** 12
+        with pytest.raises(BudgetExceededError) as info:
+            w.padded_indices()
+        assert info.value.required == w.n_fixed
 
     def test_certificate_scales_with_target(self):
         w1 = witness_positive(prefix_of(M11, [1, -1, 1]), 1.0)
