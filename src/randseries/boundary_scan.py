@@ -133,11 +133,12 @@ def scan(stream, grid: ScanGrid = ScanGrid(), eps: float = DEFAULT_EPS) -> ScanR
     """One certified enclosure per grid point, with running certified extrema.
 
     The term budget is checked for every grid point before any evaluation,
-    and the stream's float cache is sized once for the deepest point.
+    and the stream's float cache is filled once to the deepest point.
     """
     label, eps = repr(eps), float(eps)
-    stream.reserve(check_term_budget(stream.model.max_abs_float,
-                                     ((x, eps) for x in grid.points()), "scan grid"))
+    n_max = check_term_budget(stream.model.max_abs_float,
+                              ((x, eps) for x in grid.points()), "scan grid")
+    stream.float_coefficients(n_max)
     rows = []
     sup_lower = -math.inf
     inf_upper = math.inf

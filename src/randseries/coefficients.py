@@ -34,8 +34,12 @@ RationalLike = Union[int, str, Fraction]
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _STREAM_SALT = 0xD1B54A32D192ED03
-# Stream draws are generated in blocks of this many terms, in reused buffers.
-_GEN_BLOCK = 1 << 16
+# Draws are generated, and terms summed (``series_eval``), in blocks of this
+# many entries, in reused buffers.
+_BLOCK = 1 << 16
+# Offsets n * golden of the draws within one block, shared by every stream.
+_STEPS = np.arange(_BLOCK, dtype=np.uint64) * np.uint64(_GOLDEN)
+_STEPS.flags.writeable = False
 # The mixer's last step, z ^= z >> 31, changes only bits 0-32 of a draw, so a
 # threshold that is a multiple of 2^33 compares the same before and after it.
 _LAST_STEP_GRID = 1 << 33
@@ -308,8 +312,8 @@ class _Stream:
 
     def __init__(self, model: CoefficientModel):
         self.model = model
-        self._floats = np.empty(0, dtype=np.float64)   # capacity: reserved, else doubled
-        self._have = 0                                  # entries filled so far
+        self._floats = np.empty(0, dtype=np.float64)   # read-only: exactly the drawn prefix
+        self._floats.flags.writeable = False
 
     def index_range(self, lo: int, hi: int) -> np.ndarray:
         """Value indices of coefficients lo..hi-1 (1-based, half-open), as a new array
@@ -335,39 +339,25 @@ class _Stream:
             raise ConfigError("prefix length must be >= 1")
         return FinitePrefix(self.model, self.index_array(n_terms))
 
-    def reserve(self, n_terms: int) -> None:
-        """Give the float cache room for a_1..a_N without drawing anything, so that
-        ``float_coefficients`` up to N fills it in place."""
-        if n_terms > self._floats.shape[0]:
-            self._resize(n_terms)
-
-    def _resize(self, capacity: int) -> None:
-        grown = np.empty(capacity, dtype=np.float64)
-        grown[:self._have] = self._floats[:self._have]
-        self._floats = grown
-
     def float_coefficients(self, n_terms: int) -> np.ndarray:
         """Float mirrors of coefficients a_1..a_N as a read-only array view.
 
-        The cache only grows: new entries are written past the filled ones
-        (into a buffer of doubled capacity when it is full and was not
-        reserved large enough), so every view handed out earlier keeps its
-        values, and regenerating any prefix yields bit-identical values.
+        The cache holds exactly the longest prefix asked for so far.  A longer
+        request copies it into a new buffer of exactly N and draws the rest
+        into that buffer _BLOCK at a time, so every view handed out earlier
+        keeps its values, and regenerating any prefix yields bit-identical values.
         """
-        have = self._have
+        have = self._floats.shape[0]
         if n_terms > have:
-            if n_terms > self._floats.shape[0]:
-                self._resize(max(n_terms, 2 * have))
-            idx = self.index_range(have + 1, n_terms + 1)
-            new = self._floats[have:n_terms]
-            # block by block, because np.take widens its indices to intp
-            for lo in range(0, idx.shape[0], _GEN_BLOCK):
-                np.take(self.model.floats, idx[lo:lo + _GEN_BLOCK],
-                        out=new[lo:lo + _GEN_BLOCK], mode="clip")
-            self._have = n_terms
-        view = self._floats[:n_terms]
-        view.flags.writeable = False
-        return view
+            grown = np.empty(n_terms, dtype=np.float64)
+            grown[:have] = self._floats
+            for lo in range(have, n_terms, _BLOCK):
+                hi = min(lo + _BLOCK, n_terms)
+                np.take(self.model.floats, self.index_range(lo + 1, hi + 1),
+                        out=grown[lo:hi], mode="clip")
+            grown.flags.writeable = False
+            self._floats = grown
+        return self._floats[:n_terms]
 
 
 class SequenceStream(_Stream):
@@ -405,17 +395,16 @@ class SequenceStream(_Stream):
         model = self.model
         count = max(hi - lo, 0)
         out = np.empty(count, dtype=np.min_scalar_type(model.k - 1))
-        size = min(count, _GEN_BLOCK)
-        steps = np.arange(size, dtype=np.uint64) * np.uint64(_GOLDEN)
+        size = min(count, _BLOCK)
         z = np.empty(size, dtype=np.uint64)
         tmp = np.empty(size, dtype=np.uint64)
         hit = np.empty(size, dtype=bool)
         thresholds = [np.uint64(t) for t in model._thresholds]
         last_step = any(t % _LAST_STEP_GRID for t in model._thresholds)
-        for start in range(0, count, _GEN_BLOCK):
-            m = min(_GEN_BLOCK, count - start)
+        for start in range(0, count, _BLOCK):
+            m = min(_BLOCK, count - start)
             zb, ob = z[:m], out[start:start + m]
-            np.add(steps[:m], np.uint64((self._key + (lo + start) * _GOLDEN) & _MASK64), out=zb)
+            np.add(_STEPS[:m], np.uint64((self._key + (lo + start) * _GOLDEN) & _MASK64), out=zb)
             _mix64_inplace(zb, tmp[:m], last_step)
             np.greater_equal(zb, thresholds[0], out=ob)
             for t in thresholds[1:]:

@@ -19,7 +19,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .coefficients import FinitePrefix
+from .coefficients import _BLOCK, FinitePrefix
 from .errors import BudgetExceededError, ConfigError
 
 __all__ = [
@@ -51,7 +51,6 @@ _EPS = 2.0 ** -52
 # cumulative product per evaluation and each row head x^h one direct pow.
 # Terms are formed and summed in cache-resident blocks of _BLOCK.
 _LADDER = 1 << 12
-_BLOCK = 1 << 16
 # Outward inflation for tail bounds: generously covers libm pow slop even for
 # exponents ~1e8, while perturbing only the 13th digit of the bound.
 _INFLATE = 1.0 + 2.0 ** -40
@@ -259,8 +258,8 @@ class MomentTable:
     level, and adds the last N mod 16 terms a_n x^n one by one.  A block
     contributes x^c * sum_j m_j t^j / j! with t = -s B/2.  When no level
     qualifies, or N < 16, every term is summed directly, bit for bit as
-    ``eval_truncated`` does on the stream.  The table is filled on the first
-    evaluation and grows when a point needs more terms.
+    ``eval_truncated`` does on the stream.  The table is filled to the
+    requested length on construction and grows when a point needs more terms.
 
     The slack of a table evaluation is ``rounding_slack(N, A)`` plus
     ``_table_error * A``, with A = max|d| * sum x^n (closed form, inflated
@@ -292,13 +291,13 @@ class MomentTable:
         self.model = stream.model
         self._stream = stream
         self._order = _ORDER
-        self._reserve = n_terms         # the first evaluation fills at least this many terms
         self._indices = np.empty(0, dtype=np.min_scalar_type(self.model.k - 1))
         self._levels = [np.empty((self._order + 1, 0))]
+        self._extend(n_terms)
 
     @property
     def n_terms(self) -> int:
-        """Terms the table holds: a multiple of 16, 0 before the first evaluation."""
+        """Terms the table holds: a multiple of 16."""
         return self._indices.shape[0]
 
     def _extend(self, n_terms: int) -> None:
@@ -331,7 +330,7 @@ class MomentTable:
 
     def power_sum(self, x: float, n_terms: int) -> tuple[float, float]:
         """(sum of a_n x^n for n = 1..N, its rounding slack), for 0 < x < 1."""
-        self._extend(max(n_terms, self._reserve))
+        self._extend(n_terms)
         level = self._level(-math.log(x))
         if level < 0 or n_terms < _BASE:
             value, abs_sum = _power_sum(self._floats(0, n_terms), x)
@@ -411,28 +410,39 @@ def _eval_polynomial(coeffs: np.ndarray, x: float, max_abs: float) -> BoundedVal
 
 
 def required_terms(max_abs: float, x: float, eps: float) -> int:
-    """Minimal N with the certified tail bound at most eps."""
+    """Minimal N with the certified tail bound at most eps.
+
+    Raises:
+        ConfigError: unless eps > 1e-300, the floor every tail bound carries.
+    """
     x = _check_x(x)
-    if not eps > 0.0:
-        raise ConfigError(f"eps must be positive, got {eps!r}")
+    if not eps > _TINY:
+        raise ConfigError(f"eps must exceed {_TINY!r}, got {eps!r}")
     if x == 0.0 or max_abs == 0.0:
         return 1
-    target = eps * (1.0 - x) / max_abs
-    if target >= 1.0:
-        n = 1
-    else:
-        n = max(math.ceil(math.log(target) / math.log(x)) - 1, 1)
-    # the log formula is float-approximate; settle against the outward bound
-    while tail_bound(max_abs, x, n) > eps:
-        n += 1
-    while n > 1 and tail_bound(max_abs, x, n - 1) <= eps:
-        n -= 1
-    return n
+    # tail_bound <= eps  iff  max|d| x^(N+1) / (1-x) <= eps - _TINY, up to rounding;
+    # in logs, since the target may lie below the smallest float
+    log_target = math.log(eps - _TINY) + math.log(1.0 - x) - math.log(max_abs)
+    n = 1 if log_target >= 0.0 else max(math.ceil(log_target / math.log(x)) - 1, 1)
+    # the log formula is float-approximate: settle against the outward bound,
+    # bracketing lo < N <= hi with doubling steps, then bisecting
+    def fits(m: int) -> bool:
+        return tail_bound(max_abs, x, m) <= eps
+
+    lo, hi, step = n - 1, n, 1
+    while not fits(hi):
+        lo, hi, step = hi, hi + step, 2 * step
+    while lo > 0 and fits(lo):
+        lo, hi, step = max(lo - step, 0), lo, 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if fits(mid) else (mid, hi)
+    return hi
 
 
 def check_terms(n_terms: int, context: str) -> None:
     """Raise BudgetExceededError if n_terms units of work (evaluation terms, word-array
-    cells, prefix-infimum grid cells or walk steps) exceed the one work budget."""
+    cells, prefix-infimum Horner cells or walk steps) exceed the one work budget."""
     limit = term_budget()
     if n_terms > limit:
         raise BudgetExceededError(n_terms, limit, context=context)

@@ -75,7 +75,7 @@ def prefix_infimum(prefix: FinitePrefix, grid_size: int = DEFAULT_GRID_SIZE) -> 
     g = int(grid_size)
     if g < 1:
         raise ConfigError(f"grid_size must be >= 1, got {g}")
-    check_terms(g + 1, "prefix infimum grid cells")
+    check_terms(len(prefix) * (g + 1), "prefix infimum cells (prefix length x grid points)")
     check_finite_sums(prefix.model.max_abs_float, len(prefix))
     coeffs = prefix.floats
     xs = np.arange(g + 1, dtype=np.float64) / g

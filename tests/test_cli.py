@@ -368,12 +368,12 @@ class TestFailFast:
 
 class TestModuleEntryPoint:
     @staticmethod
-    def run_module(*args):
+    def run_module(*args, timeout=120):
         env = dict(os.environ)
         src = str(Path(randseries.__file__).resolve().parents[1])
         env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
         return subprocess.run([sys.executable, "-m", "randseries.cli", *args],
-                              capture_output=True, text=True, env=env, timeout=120)
+                              capture_output=True, text=True, env=env, timeout=timeout)
 
     def test_bijection_verify_prints_report(self):
         proc = self.run_module("bijection", "verify", "--set", "-1,1", "--n", "4")
@@ -384,6 +384,18 @@ class TestModuleEntryPoint:
         proc = self.run_module("bijection", "verify", "--set", "-1,1", "--n", "0")
         assert proc.returncode == 2
         assert proc.stdout == "" and proc.stderr.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--depth", "1e-2"],
+        ["estimate", "--samples", "2", "--workers", "1", "--depth", "1e-2"],
+        ["crossings", "--window", "1e-1:1e-2"],
+    ])
+    def test_eps_below_the_tail_floor_exit_two(self, argv):
+        # no tail bound falls below 1e-300; in a child process, so a settle loop
+        # that never ends fails the test at the timeout instead of hanging it
+        proc = self.run_module(*argv, "--set", "-1,1", "--eps", "1e-301", timeout=30)
+        assert proc.returncode == 2
+        assert proc.stdout == "" and proc.stderr.startswith("error: eps must exceed 1e-300")
 
 
 class TestAtomicWrites:

@@ -12,7 +12,7 @@ from randseries import (
     SequenceStream,
     parse_model,
 )
-from randseries.coefficients import _GEN_BLOCK
+from randseries.coefficients import _BLOCK
 
 from .streams import PatternStream
 
@@ -139,28 +139,6 @@ class TestStreamDeterminism:
             assert not v.flags.writeable
             assert np.array_equal(v, fresh[:len(v)])
 
-    def test_reserve_sizes_the_buffer_once_and_draws_nothing(self):
-        s = SequenceStream(parse_model("-1,0,1", "1/4,1/4,1/2"), 11, 0)
-        s.reserve(300_000)
-        buffer = s._floats
-        assert s._have == 0 and buffer.shape[0] == 300_000
-        views = [s.float_coefficients(n) for n in (10, 70_000, 300_000)]
-        s.reserve(1000)                     # never shrinks
-        assert s._floats is buffer          # filled in place, no copy
-        fresh = SequenceStream(s.model, 11, 0).float_coefficients(300_000)
-        for v in views:
-            assert not v.flags.writeable
-            assert np.array_equal(v, fresh[:len(v)])
-
-    def test_reserve_after_filling_keeps_entries_and_views(self):
-        s = SequenceStream(parse_model("-1,1"), 11, 0)
-        early = s.float_coefficients(1000)
-        s.reserve(5000)
-        assert s._have == 1000 and s._floats.shape[0] == 5000
-        fresh = SequenceStream(s.model, 11, 0).float_coefficients(5000)
-        assert np.array_equal(early, fresh[:1000])
-        assert np.array_equal(s.float_coefficients(5000), fresh)
-
     def test_negative_sample_index_rejected(self):
         with pytest.raises(ConfigError):
             SequenceStream(parse_model("-1,1"), 0, -1)
@@ -176,10 +154,10 @@ class TestStreamDeterminism:
 
 
 class TestRangeAcrossGenerationBlocks:
-    """``index_range`` generates draws in blocks of _GEN_BLOCK; every entry must
+    """``index_range`` generates draws in blocks of _BLOCK; every entry must
     equal the independent scalar path, on both sides of every block edge."""
 
-    G = _GEN_BLOCK
+    G = _BLOCK
     RANGES = [(1, 2 * G + 3), (G - 5, 3 * G + 7), (2**32 - G - 1, 2**32 + 2)]
 
     @pytest.mark.parametrize("lo,hi", RANGES)
@@ -221,7 +199,7 @@ class TestIndexDtype:
     def test_k257_uses_uint16_and_matches_the_scalar_path(self):
         model = CoefficientModel.create([str(v) for v in range(257)])
         s = SequenceStream(model, 20170912, 7)
-        lo, hi = _GEN_BLOCK - 200, _GEN_BLOCK + 200
+        lo, hi = _BLOCK - 200, _BLOCK + 200
         idx = s.index_range(lo, hi)
         assert idx.dtype == np.uint16
         assert idx.tolist() == [s.index_at(n) for n in range(lo, hi)]

@@ -22,7 +22,8 @@ from randseries import (
     required_terms,
     series_eval,
 )
-from randseries.series_eval import _BLOCK, _LADDER, _ORDER, _TAU, MomentTable, rounding_slack
+from randseries.coefficients import _BLOCK
+from randseries.series_eval import _LADDER, _ORDER, _TAU, MomentTable, rounding_slack
 
 FRAC_BITS = 160
 EPS = 0.01
@@ -151,6 +152,12 @@ def test_grown_table_equals_a_fresh_one():
             assert eval_truncated(grown, x, n) == eval_truncated(fresh, x, n)
 
 
+@pytest.mark.parametrize("n", [1, 15, 16, 17, TABLE_TERMS, 70_000])
+def test_table_is_filled_to_the_request_on_construction(n):
+    table = MomentTable(SequenceStream(MODELS["ternary_weighted"], 3, 1), n)
+    assert table.n_terms == -(-n // 16) * 16
+
+
 def test_table_error_constants():
     remainder = _TAU ** (_ORDER + 1) * math.exp(2 * _TAU) / math.factorial(_ORDER + 1)
     assert remainder <= 2.0 ** -40
@@ -158,7 +165,6 @@ def test_table_error_constants():
 
 def test_each_point_uses_the_largest_level_with_s_b_over_2_within_tau():
     table = MomentTable(SequenceStream(MODELS["binary"], 7, 0), 1 << 16)
-    eval_truncated(table, 0.5, 1)               # fills the table
     top = 12                                    # 2^16 terms in blocks of 16 * 2^12
     for t in range(1, 30):
         for x in (1.0 - 2.0 ** -t, 1.0 - 1.5 * 2.0 ** -t):

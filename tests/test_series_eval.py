@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -111,6 +114,30 @@ class TestEvalToEps:
     def test_deep_point_term_count(self):
         n = required_terms(1.0, 1.0 - 1e-4, 1e-3)
         assert 1.3e5 < n < 2.0e5
+
+    def test_eps_near_the_tail_floor_fails_or_settles_at_once(self):
+        # every tail bound carries a 1e-300 floor, so no N reaches an eps at or
+        # below it; just above it the settle must not walk ~ln(3)/(1-x) steps.
+        # In a child process, so that a loop that never ends fails the test at
+        # the timeout instead of hanging the run.
+        code = ("from randseries.errors import ConfigError\n"
+                "from randseries.series_eval import required_terms, tail_bound\n"
+                "for eps in (1e-300, 1e-301, 0.0):\n"
+                "    try:\n"
+                "        required_terms(1.0, 0.5, eps)\n"
+                "    except ConfigError:\n"
+                "        pass\n"
+                "    else:\n"
+                "        raise AssertionError(eps)\n"
+                "for x, eps in [(1 - 2**-30, 1.5e-300), (1 - 2**-53, 1e-300 * (1 + 2**-50))]:\n"
+                "    n = required_terms(1.0, x, eps)\n"
+                "    assert tail_bound(1.0, x, n) <= eps < tail_bound(1.0, x, n - 1), (x, n)\n")
+        env = dict(os.environ)
+        src = str(Path(randseries.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=30)
+        assert proc.returncode == 0, proc.stderr
 
     def test_budget_exceeded_reports_required(self, monkeypatch):
         monkeypatch.setenv("RANDSERIES_TERM_BUDGET", "100000")
@@ -239,3 +266,39 @@ class TestOneBudgetHome:
         # every work budget goes through check_terms; the grid-point cap is the other one
         assert _budget_error_sites() == {("series_eval", "check_terms"),
                                          ("boundary_scan", "ScanGrid.deltas")}
+
+
+_BLAS_NAMES = {"dot", "matmul", "einsum", "inner", "tensordot", "vdot", "linalg", "@"}
+
+
+def _blas_uses(source: str) -> list[tuple[int, str]]:
+    """(line, name) of every BLAS-backed name, import or ``@`` product in ``source``."""
+    uses = []
+    for node in ast.walk(ast.parse(source)):
+        name = None
+        if isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.alias):
+            name = node.name.rpartition(".")[2]
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            name = "@"
+        if name in _BLAS_NAMES:
+            uses.append((getattr(node, "lineno", 0), name))
+    return uses
+
+
+class TestNoBlas:
+    def test_no_blas_backed_products_in_the_package(self):
+        # results must not depend on the BLAS build or its thread count, so every
+        # sum is formed by elementwise passes and pairwise or fsum reductions
+        uses = {path.stem: _blas_uses(path.read_text(encoding="utf-8"))
+                for path in sorted(Path(randseries.__file__).parent.glob("*.py"))}
+        assert {module: found for module, found in uses.items() if found} == {}
+
+    def test_the_guard_sees_each_form(self):
+        source = ("import numpy.linalg\nfrom numpy import dot\nc = a @ b\nc @= a\n"
+                  "np.einsum('i,i', a, b)\nnp.linalg.norm(a)\ninner(a, b)\n")
+        assert {name for _, name in _blas_uses(source)} == {"linalg", "dot", "@", "einsum",
+                                                            "inner"}

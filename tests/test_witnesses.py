@@ -17,6 +17,7 @@ from randseries import (
     tail_bound,
     witness_nonzero_coordinate,
     witness_positive,
+    witnesses,
 )
 
 from .streams import PatternStream
@@ -70,6 +71,18 @@ class TestPrefixInfimum:
             hi = prefix_infimum(p, grid_size=2048).lower_bound
             assert hi >= lo
 
+    def test_budget_counts_every_horner_pass(self, monkeypatch):
+        # N Horner passes over G + 1 points: 100 x 1001 cells exceed the budget,
+        # though the 1001 grid points alone do not
+        def no_arange(*args, **kwargs):
+            raise AssertionError("the grid was allocated")
+
+        prefix = SequenceStream(M11, 0, 0).prefix(100)
+        monkeypatch.setenv("RANDSERIES_TERM_BUDGET", "100000")
+        monkeypatch.setattr(witnesses.np, "arange", no_arange)
+        with pytest.raises(BudgetExceededError) as info:
+            prefix_infimum(prefix, grid_size=1000)
+        assert info.value.required == 100 * 1001
 
     def test_overflowing_prefix_rejected(self):
         huge = parse_model("1e306,-1e306")
