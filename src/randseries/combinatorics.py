@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .boundary_scan import DEFAULT_EPS, ScanGrid, scan
-from .coefficients import CoefficientModel, FinitePrefix, PatchedStream
+from .coefficients import _BLOCK, CoefficientModel, FinitePrefix, PatchedStream
 from .errors import ConfigError
 from .series_eval import check_terms
 
@@ -76,27 +76,38 @@ def position_class(model: CoefficientModel, word) -> PositionClass:
 
 
 def _flips(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of a (W, N) array of value indices: 0-based positions of the leftmost
-    unmatched d_1 and of the rightmost unmatched d_2, or -1 when there is none.
+    """Per column of an (N, W) array of value indices, one row per position: the
+    0-based positions of the leftmost unmatched d_1 and of the rightmost unmatched
+    d_2, or -1 when there is none.
 
     With B_q the balance after q letters (+1 for d_1, -1 for d_2, B_0 = 0) and
     m its minimum, every d_1 after the last q with B_q = m stays unmatched and
     every earlier one is closed; the unmatched d_2's are the letters that reach
     a new minimum, the rightmost of them ending at the first q with B_q = m.
+
+    One pass over the positions keeps B_q and its running minimum; the first q
+    with B_q = m is the last q where that minimum falls, and the last such q
+    is the last q where B_q equals it.
     """
-    n = words.shape[1]
+    n, width = words.shape
     # the narrowest signed type holding every balance in [-N, N]
     dtype = np.min_scalar_type(-n - 1)
-    balance = np.zeros((words.shape[0], n + 1), dtype=dtype)
-    np.cumsum((words == 0).astype(dtype) - (words == 1), axis=1, out=balance[:, 1:])
-    at_min = balance == balance.min(axis=1, keepdims=True)
-    last = n - at_min[:, ::-1].argmax(axis=1)
-    first = at_min.argmax(axis=1)
+    steps = (words == 0).view(np.int8) - (words == 1).view(np.int8)
+    balance, low, first, last, mark = (np.zeros(width, dtype=dtype) for _ in range(5))
+    hit = np.empty(width, dtype=bool)
+    for q, step in zip(np.arange(1, n + 1, dtype=dtype), steps):
+        balance += step
+        # q is later than every mark so far, so a maximum keeps the latest one
+        np.less(balance, low, out=hit)
+        np.maximum(first, np.multiply(hit.view(np.int8), q, out=mark), out=first)
+        np.minimum(low, balance, out=low)
+        np.equal(balance, low, out=hit)
+        np.maximum(last, np.multiply(hit.view(np.int8), q, out=mark), out=last)
     return np.where(last < n, last, -1), first - 1
 
 
 def _flip_one(indices: tuple[int, ...], side: int, ix: int) -> Optional[tuple[int, ...]]:
-    flip = int(_flips(np.array([indices], dtype=np.intp))[side][0])
+    flip = int(_flips(np.array(indices, dtype=np.intp)[:, None])[side][0])
     return None if flip < 0 else indices[:flip] + (ix,) + indices[flip + 1:]
 
 
@@ -141,21 +152,41 @@ def shift_down(model: CoefficientModel, word):
     return _apply_shift(shift_down_indices, model, word)
 
 
-def _all_words(model: CoefficientModel, n: int) -> np.ndarray:
-    """All k^N index words as rows of a (k^N, N) array, in lexicographic order."""
+def _word_chunks(model: CoefficientModel, n: int):
+    """All k^N index words in lexicographic order, as an iterator of (first word
+    number, words) chunks.
+
+    ``words`` is an (N, W) array, one row per position, of W = k^j
+    consecutive words, with j <= N the largest such that k^j <= _BLOCK.  Its
+    last j rows are the same in every chunk and its first N - j rows are the
+    digits of the chunk number.  The array is reused: it holds a chunk only
+    until the next one is drawn.  N and the budget are checked on the call,
+    before anything is allocated.
+    """
     if n < 1:
         raise ConfigError(f"word length N must be >= 1, got {n}")
-    # the k^N * N cells of the word array bound the memory of every pass
-    check_terms(model.k ** n * n, f"enumerating k^N words at N={n}, in array cells")
-    dtype = np.min_scalar_type(model.k - 1)
-    return np.indices((model.k,) * n, dtype=dtype).reshape(n, -1).T
+    k = model.k
+    # k^N * N cells bound the work of every pass; a chunk holds at most _BLOCK words
+    check_terms(k ** n * n, f"enumerating k^N words at N={n}, in array cells")
+    j = 0
+    while j < n and k ** (j + 1) <= _BLOCK:
+        j += 1
+    lead, width = n - j, k ** j
+    words = np.empty((n, width), dtype=np.min_scalar_type(k - 1))
+    words[lead:] = np.indices((k,) * j, dtype=words.dtype).reshape(j, width)
+
+    def chunk(number: int) -> tuple[int, np.ndarray]:
+        words[:lead] = np.array(np.unravel_index(number, (k,) * lead))[:, None]
+        return number * width, words
+
+    return map(chunk, range(k ** lead))
 
 
 def domain_fraction(model: CoefficientModel, n: int) -> Fraction:
     """Exact matched fraction #dom(shift_up) / k^N by exhaustive enumeration."""
-    words = _all_words(model, n)
-    up, _ = _flips(words)
-    return Fraction(int(np.count_nonzero(up >= 0)), len(words))
+    matched = sum(int(np.count_nonzero(_flips(words)[0] >= 0))
+                  for _, words in _word_chunks(model, n))
+    return Fraction(matched, model.k ** n)
 
 
 @dataclass(frozen=True)
@@ -192,56 +223,73 @@ def verify_matching(model: CoefficientModel, n: int, *,
                     max_violations: int = 10) -> MatchingReport:
     """Exhaustively check injectivity, the exact sum shift, inversion, and the
     weight-monotonicity of flips (probability multiplies by p2/p1 >= 1 when
-    p2 >= p1), over all k^N words."""
-    all_words = _all_words(model, n)
+    p2 >= p1), over all k^N words, one chunk of consecutive words at a time.
+
+    Violations are listed in word order, then in the order of the four kinds,
+    and cut at ``max_violations``.
+    """
+    chunks = _word_chunks(model, n)
     k = model.k
-    up, _ = _flips(all_words)
-    rows = np.flatnonzero(up >= 0)
-    words = all_words[rows]
-    at = np.arange(len(rows))
-    image = words.copy()
-    image[at, up[rows]] = 1
-
-    codes = np.ravel_multi_index(image.T, (k,) * n)
-    repeated = np.ones(len(rows), dtype=bool)
-    repeated[np.unique(codes, return_index=True)[1]] = False
-
     # Sums wrap modulo 2^64, which can never turn an exact shift into a violation.
     ints = model.integer_scaled()[0]
     scaled = np.array([v % (1 << 64) for v in ints], dtype=np.uint64)
     shift = np.uint64((ints[1] - ints[0]) % (1 << 64))
-    sum_ok = scaled[image].sum(axis=1) - scaled[words].sum(axis=1) == shift
 
-    _, down = _flips(image)
-    back = image.copy()
-    back[at, down] = 0
-    inv_ok = (down >= 0) & (back == words).all(axis=1)
+    place = k ** np.arange(n - 1, -1, -1, dtype=np.int64)   # code weight of each position
+    seen = np.zeros(k ** n, dtype=bool)                     # image codes met so far
+    matched = 0
+    ok = dict.fromkeys(("injectivity", "sum_shift", "inverse", "measure"), True)
+    violations: list = []
+    for first_word, words in chunks:
+        up, _ = _flips(words)
+        cols = np.flatnonzero(up >= 0)
+        matched += len(cols)
+        word = np.take(words, cols, axis=1)
+        flip = up[cols]
+        at = np.arange(len(cols))
+        old = word[flip, at]                 # the letter each flip overwrites
+        image = word.copy()
+        image[flip, at] = 1
 
-    # one d_1 becomes d_2 and no other count moves, so P scales by exactly p2/p1
-    expected = {0: -1, 1: 1}
-    measure_ok = np.all([(image == s).sum(axis=1) - (words == s).sum(axis=1) == expected.get(s, 0)
-                         for s in range(k)], axis=0)
+        codes = first_word + cols + (1 - old.astype(np.int64)) * place[flip]
+        # a repeat is flagged at the later word: after an earlier one in this chunk,
+        # or after one in an earlier chunk
+        repeated = np.ones(len(cols), dtype=bool)
+        repeated[np.unique(codes, return_index=True)[1]] = False
+        repeated |= seen[codes]
+        seen[codes] = True
 
-    flagged = []
-    for kind, bad in (("injectivity", repeated), ("sum_shift", ~sum_ok),
-                      ("inverse", ~inv_ok), ("measure", ~measure_ok)):
-        flagged.extend((int(r), kind) for r in np.flatnonzero(bad)[:max_violations])
-    flagged.sort(key=lambda v: v[0])
-    violations = tuple((kind, tuple(int(i) for i in words[r]))
-                       for r, kind in flagged[:max_violations])
+        # a flip adds one d_2 and removes the overwritten letter, so the sum moves
+        # by scaled[1] - scaled[old]; P scales by exactly p2/p1 only when old is d_1
+        sum_ok = scaled[1] - scaled[old] == shift
+        measure_ok = old == 0
+
+        _, down = _flips(image)
+        image[down, at] = 0
+        inv_ok = (down >= 0) & (image == word).all(axis=0)
+
+        flagged = []
+        for kind, bad in zip(ok, (repeated, ~sum_ok, ~inv_ok, ~measure_ok)):
+            rows = np.flatnonzero(bad)
+            ok[kind] = ok[kind] and not len(rows)
+            flagged.extend((int(r), kind) for r in rows[:max_violations])
+        flagged.sort(key=lambda v: v[0])
+        # chunks come in word order, so the first max_violations so far stay first
+        violations.extend((kind, tuple(int(i) for i in word[:, r]))
+                          for r, kind in flagged[:max_violations - len(violations)])
 
     ratio = model.weights[1] / model.weights[0]
     return MatchingReport(
         n=n,
-        total_words=len(all_words),
-        matched_count=len(rows),
-        fraction=Fraction(len(rows), len(all_words)),
-        injective=not repeated.any(),
-        sum_shift_exact=bool(sum_ok.all()),
-        inverse_roundtrip=bool(inv_ok.all()),
+        total_words=k ** n,
+        matched_count=matched,
+        fraction=Fraction(matched, k ** n),
+        injective=ok["injectivity"],
+        sum_shift_exact=ok["sum_shift"],
+        inverse_roundtrip=ok["inverse"],
         measure_ratio=ratio,
         measure_monotone=ratio >= 1,
-        violations=violations,
+        violations=tuple(violations),
     )
 
 

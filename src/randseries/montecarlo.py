@@ -23,7 +23,7 @@ import numpy as np
 from .boundary_scan import ScanGrid, Verdict, check_threshold, scan, verdicts_by_depth
 from .coefficients import CoefficientModel, MeanSign, SequenceStream
 from .errors import ConfigError
-from .series_eval import check_term_budget, check_terms
+from .series_eval import check_eps, check_term_budget, check_terms
 
 __all__ = [
     "DiagnosticRow",
@@ -78,8 +78,7 @@ class ExperimentConfig:
         if self.num_samples < 1:
             raise ConfigError("num_samples must be >= 1")
         check_threshold(self.threshold)
-        if not self.eps > 0:
-            raise ConfigError("eps must be positive")
+        check_eps(self.eps)
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
 

@@ -28,6 +28,7 @@ __all__ = [
     "MomentTable",
     "TERM_BUDGET_ENV",
     "WalkLowerBound",
+    "check_eps",
     "check_finite_sums",
     "check_term_budget",
     "check_terms",
@@ -409,15 +410,20 @@ def _eval_polynomial(coeffs: np.ndarray, x: float, max_abs: float) -> BoundedVal
     return BoundedValue(x, n, value, 0.0, rounding_slack(n, abs_sum))
 
 
+def check_eps(eps: float) -> None:
+    """Raise ConfigError unless eps > 1e-300, the floor every tail bound carries."""
+    if not eps > _TINY:
+        raise ConfigError(f"eps must exceed {_TINY!r}, got {eps!r}")
+
+
 def required_terms(max_abs: float, x: float, eps: float) -> int:
     """Minimal N with the certified tail bound at most eps.
 
     Raises:
-        ConfigError: unless eps > 1e-300, the floor every tail bound carries.
+        ConfigError: unless eps > 1e-300 (``check_eps``).
     """
     x = _check_x(x)
-    if not eps > _TINY:
-        raise ConfigError(f"eps must exceed {_TINY!r}, got {eps!r}")
+    check_eps(eps)
     if x == 0.0 or max_abs == 0.0:
         return 1
     # tail_bound <= eps  iff  max|d| x^(N+1) / (1-x) <= eps - _TINY, up to rounding;

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -119,6 +120,20 @@ class TestBracketOracle:
             assert shift_up_indices(word) == _reference_up(word)
             assert shift_down_indices(word) == _reference_down(word)
 
+    def test_empty_word_is_unmatched(self):
+        assert shift_up_indices(()) is None and shift_down_indices(()) is None
+
+    def test_columns_scan_like_single_words(self):
+        # one (N, W) array, one column per word, gives each word's own flips
+        rng = random.Random(20170913)
+        for _ in range(300):
+            k, n = rng.choice((2, 3, 4)), rng.randint(1, 80)
+            words = [tuple(rng.randrange(k) for _ in range(n)) for _ in range(rng.randint(1, 3))]
+            up, down = combinatorics._flips(np.array(words, dtype=np.uint8).T)
+            for word, u, d in zip(words, up, down):
+                opens, closings = unmatched_positions(word)
+                assert (u, d) == (opens[0] if opens else -1, closings[-1] if closings else -1)
+
 
 class TestInversePairing:
     @pytest.mark.parametrize("k,n", [(2, 6), (2, 8), (3, 5)])
@@ -234,6 +249,52 @@ class TestVerifyMatchingViolations:
         order = [(word, self.KINDS.index(kind)) for kind, word in full]
         assert order == sorted(order) and len(set(order)) == len(order)
         assert verify_matching(M3, 4, max_violations=5).violations == full[:5]
+
+
+SWEEP = [("-1,1", None), ("-1,1", "1/4,3/4"), ("1,-1", "2/3,1/3"),
+         ("-1,0,1", None), ("-1,0,1", "1/4,1/2,1/4"), ("0,1/3,-2", "1/2,1/3,1/6"),
+         ("-1,0,1,2", None), ("1/2,-3,0,7", "1/10,2/10,3/10,4/10")]
+SWEEP_N = {2: 14, 3: 9, 4: 7}
+
+
+class TestChunkBoundaries:
+    # every sweep length fits one default chunk of at most 2^16 words
+
+    @pytest.mark.parametrize("spec,weights", SWEEP)
+    def test_small_chunks_give_the_one_chunk_report(self, monkeypatch, spec, weights):
+        model = parse_model(spec, weights)
+        lengths = range(1, SWEEP_N[model.k] + 1)
+        whole = [(verify_matching(model, n).to_data(), domain_fraction(model, n))
+                 for n in lengths]
+        monkeypatch.setattr(combinatorics, "_BLOCK", model.k ** 4)
+        assert [(verify_matching(model, n).to_data(), domain_fraction(model, n))
+                for n in lengths] == whole
+
+    @pytest.mark.parametrize("chunk", [1, 9])
+    def test_violations_across_chunks(self, monkeypatch, chunk):
+        monkeypatch.setattr(combinatorics, "_flips", _flip_first_letter(combinatorics._flips))
+        whole = verify_matching(M3, 4, max_violations=10 ** 6)
+        monkeypatch.setattr(combinatorics, "_BLOCK", chunk)
+        chunked = verify_matching(M3, 4, max_violations=10 ** 6)
+        assert chunked == whole
+        assert verify_matching(M3, 4, max_violations=5).violations == whole.violations[:5]
+        # (0,0,0,0) and (1,0,0,0) both map to (1,0,0,0); the later word, 27 words
+        # and so at least three 9-word chunks on, carries the repeat
+        assert ("injectivity", (1, 0, 0, 0)) in chunked.violations
+        assert ("injectivity", (0, 0, 0, 0)) not in chunked.violations
+
+
+class TestMatchingMemory:
+    def test_peak_stays_bounded_at_n_20(self):
+        # 2^20 words: a k^N-byte seen array plus chunks of 2^16 words, not k^N * N cells
+        tracemalloc.start()
+        try:
+            report = verify_matching(M11, 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.injective and report.total_words == 2 ** 20
+        assert peak <= 32 * 2 ** 20
 
 
 class TestWordProperties:

@@ -14,6 +14,7 @@ from randseries import (
     Verdict,
     estimate_properties,
     parse_model,
+    required_terms,
     walk_positivity,
     wilson_interval,
     zero_one_diagnostic,
@@ -60,6 +61,15 @@ class TestConfigValidation:
         for bad in (float("nan"), float("inf")):
             with pytest.raises(ConfigError):
                 ExperimentConfig(M11, 10, 1, threshold=bad)
+
+    @pytest.mark.parametrize("eps", [1e-301, 0.0, -1.0, float("nan")])
+    def test_eps_follows_the_tail_floor_at_construction(self, eps):
+        # the same rule and message as every truncation: eps must exceed 1e-300
+        with pytest.raises(ConfigError) as built:
+            ExperimentConfig(M11, 2, 0, eps=eps)
+        with pytest.raises(ConfigError) as evaluated:
+            required_terms(1.0, 0.5, eps)
+        assert str(built.value) == str(evaluated.value) == f"eps must exceed 1e-300, got {eps!r}"
 
 
 class TestEstimateProperties:
