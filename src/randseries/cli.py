@@ -19,7 +19,7 @@ import tempfile
 from typing import Optional
 
 from . import __version__
-from .boundary_scan import ScanGrid, ScanReport, check_threshold, scan, verdict
+from .boundary_scan import DEFAULT_EPS, ScanGrid, ScanReport, check_threshold, scan, verdict
 from .coefficients import FinitePrefix, SequenceStream, _to_fraction, parse_model
 from .combinatorics import verify_matching
 from .crossings import find_crossings
@@ -86,7 +86,6 @@ def _csv_document(config: dict, header: list[str], rows: list[list]) -> str:
 _COMMON = {
     "set": (str, None),
     "weights": (str, None),
-    "config": (str, None),
     "out": (str, None),
 }
 
@@ -95,13 +94,13 @@ _SPECS = {
         **_COMMON,
         "seed": (int, 0), "index": (int, 0),
         "delta_start": (float, 0.1), "ratio": (float, 0.5), "depth": (float, 1e-5),
-        "eps": (float, 0.01), "threshold": (float, 10.0), "svg": (str, None),
+        "eps": (float, DEFAULT_EPS), "threshold": (float, 10.0), "svg": (str, None),
     },
     "estimate": {
         **_COMMON,
         "samples": (int, 1000), "seed": (int, 0),
         "delta_start": (float, 0.1), "ratio": (float, 0.5), "depth": (float, 1e-5),
-        "eps": (float, 0.01), "threshold": (float, 5.0),
+        "eps": (float, DEFAULT_EPS), "threshold": (float, 5.0),
         "workers": (int, None),      # resolved to machine parallelism
     },
     "bijection": {
@@ -129,8 +128,8 @@ _SPECS = {
 
 def _merged_config(command: str, ns: argparse.Namespace) -> dict:
     spec = _SPECS[command]
-    merged = {k: default for k, (_t, default) in spec.items() if k != "config"}
-    cfg_path = getattr(ns, "config", None)
+    merged = {k: default for k, (_t, default) in spec.items()}
+    cfg_path = ns.config
     if cfg_path:
         try:
             with open(cfg_path, "r", encoding="utf-8") as fh:
@@ -144,7 +143,7 @@ def _merged_config(command: str, ns: argparse.Namespace) -> dict:
             raise ConfigError(f"config file section {command!r} must be a JSON object")
         for key, value in section.items():
             key = key.replace("-", "_")
-            if key in spec and key != "config":
+            if key in spec:
                 typ = spec[key][0]
                 try:
                     merged[key] = typ(value) if value is not None else None
@@ -152,8 +151,6 @@ def _merged_config(command: str, ns: argparse.Namespace) -> dict:
                     raise ConfigError(f"config file {cfg_path!r}: {key} must be "
                                       f"{typ.__name__}, got {value!r}") from None
     for key in spec:
-        if key == "config":
-            continue
         given = getattr(ns, key, None)
         if given is not None:
             merged[key] = given
@@ -344,6 +341,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command)
         if command == "bijection":
             p.add_argument("action", choices=["verify"])
+        p.add_argument("--config", default=None)
         for key, (typ, _default) in spec.items():
             flag = "--" + key.replace("_", "-")
             p.add_argument(flag, dest=key, type=typ, default=None)

@@ -343,20 +343,18 @@ class _Stream:
         """Float mirrors of coefficients a_1..a_N as a read-only array view.
 
         The cache holds exactly the longest prefix asked for so far.  A longer
-        request copies it into a new buffer of exactly N and draws the rest
-        into that buffer _BLOCK at a time, so every view handed out earlier
-        keeps its values, and regenerating any prefix yields bit-identical values.
+        request rebuilds it: a fresh array of exactly N, drawn from position 1
+        _BLOCK at a time.  Views handed out earlier keep their values, since
+        any prefix drawn again is bit-identical.
         """
-        have = self._floats.shape[0]
-        if n_terms > have:
-            grown = np.empty(n_terms, dtype=np.float64)
-            grown[:have] = self._floats
-            for lo in range(have, n_terms, _BLOCK):
+        if n_terms > self._floats.shape[0]:
+            floats = np.empty(n_terms, dtype=np.float64)
+            for lo in range(0, n_terms, _BLOCK):
                 hi = min(lo + _BLOCK, n_terms)
                 np.take(self.model.floats, self.index_range(lo + 1, hi + 1),
-                        out=grown[lo:hi], mode="clip")
-            grown.flags.writeable = False
-            self._floats = grown
+                        out=floats[lo:hi], mode="clip")
+            floats.flags.writeable = False
+            self._floats = floats
         return self._floats[:n_terms]
 
 

@@ -161,8 +161,10 @@ def crossing_counts_by_depth(stream, y: float, depths: list[float],
     scan of the full window is filtered per depth, so counts are nondecreasing
     by construction.
     """
+    if not depths:
+        raise ConfigError("need at least one depth")
     if any(b >= a for a, b in zip(depths, depths[1:])):
-        raise ValueError("depths must be strictly decreasing")
+        raise ConfigError("depths must be strictly decreasing")
     report = find_crossings(stream, y, (1.0 - depths[0], 1.0 - depths[-1]), eps)
     counts = []
     for d in depths:

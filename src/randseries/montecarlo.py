@@ -20,7 +20,8 @@ from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .boundary_scan import ScanGrid, Verdict, check_threshold, scan, verdicts_by_depth
+from .boundary_scan import (DEFAULT_EPS, _REL_FUZZ, ScanGrid, Verdict, check_threshold, scan,
+                            verdicts_by_depth)
 from .coefficients import CoefficientModel, MeanSign, SequenceStream
 from .errors import ConfigError
 from .series_eval import check_eps, check_term_budget, check_terms
@@ -71,7 +72,7 @@ class ExperimentConfig:
     master_seed: int
     grid: ScanGrid = ScanGrid()
     threshold: float = 5.0
-    eps: float = 0.01
+    eps: float = DEFAULT_EPS
     workers: int = 1
 
     def __post_init__(self):
@@ -84,8 +85,10 @@ class ExperimentConfig:
 
 
 def _map_samples(kernel, count: int, workers: int):
-    """Yield kernel(i) for i in range(count) in order; a fork pool only changes scheduling."""
-    if workers <= 1 or count <= 1:
+    """Yield kernel(i) for i in range(count) in order; a fork pool of at most one
+    process per sample only changes scheduling."""
+    workers = min(workers, count)
+    if workers <= 1:
         yield from map(kernel, range(count))
         return
     ctx = multiprocessing.get_context("fork")
@@ -289,7 +292,7 @@ def zero_one_diagnostic(config: ExperimentConfig, depths: Sequence[float],
     # map each requested depth to the deepest grid row not exceeding it
     row_for_depth = {}
     for d in depths:
-        rows = [i for i, g in enumerate(grid_deltas) if g >= d * (1.0 - 1e-9)]
+        rows = [i for i, g in enumerate(grid_deltas) if g >= d * (1.0 - _REL_FUZZ)]
         if not rows:
             raise ConfigError(f"depth {d} is shallower than the grid start")
         row_for_depth[d] = rows[-1]

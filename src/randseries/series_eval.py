@@ -260,7 +260,8 @@ class MomentTable:
     contributes x^c * sum_j m_j t^j / j! with t = -s B/2.  When no level
     qualifies, or N < 16, every term is summed directly, bit for bit as
     ``eval_truncated`` does on the stream.  The table is filled to the
-    requested length on construction and grows when a point needs more terms.
+    requested length on construction; a point that needs more terms rebuilds
+    it from position 1 at that length, so a grown table is a fresh one.
 
     The slack of a table evaluation is ``rounding_slack(N, A)`` plus
     ``_table_error * A``, with A = max|d| * sum x^n (closed form, inflated
@@ -291,33 +292,22 @@ class MomentTable:
     def __init__(self, stream, n_terms: int):
         self.model = stream.model
         self._stream = stream
-        self._order = _ORDER
-        self._indices = np.empty(0, dtype=np.min_scalar_type(self.model.k - 1))
-        self._levels = [np.empty((self._order + 1, 0))]
-        self._extend(n_terms)
+        self._build(n_terms)
 
     @property
     def n_terms(self) -> int:
         """Terms the table holds: a multiple of 16."""
         return self._indices.shape[0]
 
-    def _extend(self, n_terms: int) -> None:
-        have = self.n_terms
-        want = -(-n_terms // _BASE) * _BASE
-        if want <= have:
-            return
-        indices = np.empty(want, dtype=self._indices.dtype)
-        indices[:have] = self._indices
-        base = np.empty((self._order + 1, want // _BASE))
-        base[:, :have // _BASE] = self._levels[0]
-        for lo in range(have, want, _BLOCK):
-            hi = min(lo + _BLOCK, want)
-            chunk = indices[lo:hi]
-            chunk[:] = self._stream.index_range(lo + 1, hi + 1)
-            base[:, lo // _BASE:hi // _BASE] = _base_moments(self.model, chunk, self._order)
-        self._indices = indices
-        # a parent column depends only on its two children: rebuilding the upper
-        # levels gives the same bits as extending them
+    def _build(self, n_terms: int) -> None:
+        """Fill the table from position 1 to n_terms rounded up to a multiple of 16."""
+        n = -(-n_terms // _BASE) * _BASE
+        self._indices = self._stream.index_array(n)
+        base = np.empty((_ORDER + 1, n // _BASE))
+        for lo in range(0, n, _BLOCK):
+            hi = min(lo + _BLOCK, n)
+            chunk = self._indices[lo:hi]
+            base[:, lo // _BASE:hi // _BASE] = _base_moments(self.model, chunk, _ORDER)
         self._levels = [base]
         while self._levels[-1].shape[1] >= 2:
             self._levels.append(_pair_moments(self._levels[-1]))
@@ -331,7 +321,8 @@ class MomentTable:
 
     def power_sum(self, x: float, n_terms: int) -> tuple[float, float]:
         """(sum of a_n x^n for n = 1..N, its rounding slack), for 0 < x < 1."""
-        self._extend(n_terms)
+        if n_terms > self.n_terms:
+            self._build(n_terms)
         level = self._level(-math.log(x))
         if level < 0 or n_terms < _BASE:
             value, abs_sum = _power_sum(self._floats(0, n_terms), x)
@@ -351,9 +342,9 @@ class MomentTable:
                 pos += size
         sizes = np.concatenate(sizes)
         # row j of the series: m_j * t^j / j!, with t^j / j! the product of t/1 .. t/j
-        series = np.empty((self._order + 1, sizes.shape[0]))
+        series = np.empty((_ORDER + 1, sizes.shape[0]))
         series[0] = 1.0
-        np.divide(math.log(x) * (sizes / 2), np.arange(1.0, self._order + 1)[:, None],
+        np.divide(math.log(x) * (sizes / 2), np.arange(1.0, _ORDER + 1)[:, None],
                   out=series[1:])
         np.cumprod(series, axis=0, out=series)
         series *= np.concatenate(parts, axis=1)
@@ -365,7 +356,7 @@ class MomentTable:
         abs_bound = (self.model.max_abs_float * x * -math.expm1(n_terms * math.log(x))
                      / (1.0 - x) * _INFLATE)
         return float(terms.sum()), (rounding_slack(n_terms, abs_bound)
-                                    + _table_error(self._order, level, self.model.k) * abs_bound)
+                                    + _table_error(_ORDER, level, self.model.k) * abs_bound)
 
     def _floats(self, lo: int, hi: int) -> np.ndarray:
         """Float mirrors of coefficients a_(lo+1)..a_hi."""
@@ -381,7 +372,7 @@ def eval_truncated(stream, x: float, n_terms: int) -> BoundedValue:
     x = _check_x(x)
     n_terms = int(n_terms)
     if n_terms < 1:
-        raise ValueError("n_terms must be >= 1")
+        raise ConfigError("n_terms must be >= 1")
     max_abs = stream.model.max_abs_float
     if x == 0.0:
         return BoundedValue(x, n_terms, 0.0, 0.0, 0.0)
@@ -498,7 +489,7 @@ def eval_abel_form(prefix: FinitePrefix, x):
     n = len(prefix)
     if isinstance(x, Fraction):
         if not (0 <= x < 1):
-            raise ValueError(f"x must lie in [0, 1), got {x}")
+            raise ConfigError(f"x must lie in [0, 1), got {x}")
         s = partial_sums(prefix)
         total = sum((s[i] * (x ** (i + 1) - x ** (i + 2)) for i in range(n)), Fraction(0))
         return total + s[-1] * x ** (n + 1)
@@ -532,7 +523,7 @@ def lower_bound_from_positive_walk(
     """
     x = float(x)
     if not (0.0 < x < 1.0):
-        raise ValueError(f"x must lie in (0, 1), got {x!r}")
+        raise ConfigError(f"x must lie in (0, 1), got {x!r}")
     threshold = m * (Fraction(min_value) if min_value is not None else prefix.model.min_value)
     first_violation = None
     s = Fraction(0)

@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from .coefficients import FinitePrefix
-from .errors import PreconditionError
+from .errors import ConfigError, PreconditionError
 from .series_eval import BoundedValue, _eval_polynomial, check_finite_sums
 
 __all__ = ["SignWitness", "apply_perm", "orbit_sum", "orbit_values", "sign_witness"]
@@ -24,7 +24,7 @@ def apply_perm(prefix: FinitePrefix, j: int) -> FinitePrefix:
     """Rotate every coordinate j steps along the alphabet cycle (0 <= j < k)."""
     k = prefix.model.k
     if not (0 <= j < k):
-        raise ValueError(f"rotation count must lie in [0, {k}), got {j}")
+        raise ConfigError(f"rotation count must lie in [0, {k}), got {j}")
     if j == 0:
         return prefix
     return FinitePrefix(prefix.model, (prefix.index_array + j) % k)

@@ -223,7 +223,7 @@ def witness_nonzero_coordinate(prefix: FinitePrefix, m: int) -> Cylinder:
     all-zero tail starting at m.
     """
     if m < 0:
-        raise ValueError("m must be nonnegative")
+        raise ConfigError("m must be nonnegative")
     model = prefix.model
     # k >= 2 distinct values always include a nonzero one
     nonzero = next(i for i, v in enumerate(model.values) if v != 0)

@@ -138,6 +138,31 @@ class TestEstimateProperties:
         count = 5 * montecarlo._MAX_CHUNK + 3
         assert list(montecarlo._map_samples(abs, count, 2)) == list(range(count))
 
+    def test_pool_has_at_most_one_process_per_sample(self, monkeypatch):
+        # a fake context whose pool records its size and maps in-process
+        sizes = []
+
+        class FakePool:
+            def __init__(self, n):
+                sizes.append(n)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        class FakeContext:
+            Pool = FakePool
+
+        monkeypatch.setattr(montecarlo.multiprocessing, "get_context",
+                            lambda method: FakeContext())
+        assert list(montecarlo._map_samples(abs, 3, 1000)) == [0, 1, 2]
+        assert sizes == [3]
+
     def test_histograms_cover_samples(self):
         report = estimate_properties(small_config(M11))
         for hist in (report.hist_sup, report.hist_inf):

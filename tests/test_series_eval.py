@@ -15,6 +15,8 @@ from randseries import (
     ConfigError,
     ScanGrid,
     SequenceStream,
+    apply_perm,
+    crossing_counts_by_depth,
     eval_abel_form,
     eval_prefix,
     eval_to_eps,
@@ -25,6 +27,7 @@ from randseries import (
     required_terms,
     scan,
     tail_bound,
+    witness_nonzero_coordinate,
 )
 
 from .streams import PatternStream
@@ -238,6 +241,23 @@ class TestPositiveWalkBound:
         p = PatternStream(M01, [1]).prefix(3)
         with pytest.raises(ValueError):
             lower_bound_from_positive_walk(p, 0.0, 0)
+
+
+_PREFIX = PatternStream(M01, [1]).prefix(3)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: eval_truncated(ALL_ONES, 0.5, 0),
+    lambda: eval_abel_form(_PREFIX, Fraction(1)),
+    lambda: lower_bound_from_positive_walk(_PREFIX, 1.0, 0),
+    lambda: crossing_counts_by_depth(ALL_ONES, 0.0, []),
+    lambda: crossing_counts_by_depth(ALL_ONES, 0.0, [1e-3, 1e-2]),
+    lambda: witness_nonzero_coordinate(_PREFIX, -1),
+    lambda: apply_perm(_PREFIX, 2),
+], ids=["n_terms", "abel_x", "walk_x", "no_depths", "depth_order", "witness_m", "rotation"])
+def test_bad_library_arguments_raise_config_error(call):
+    with pytest.raises(ConfigError):
+        call()
 
 
 def _budget_error_sites() -> set[tuple[str, str]]:
