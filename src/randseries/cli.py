@@ -125,6 +125,9 @@ _SPECS = {
     },
 }
 
+# every option of some subcommand: a flat config file may be shared between them
+_OPTIONS = set().union(*_SPECS.values())
+
 
 def _merged_config(command: str, ns: argparse.Namespace) -> dict:
     spec = _SPECS[command]
@@ -142,11 +145,15 @@ def _merged_config(command: str, ns: argparse.Namespace) -> dict:
         if not isinstance(section, dict):
             raise ConfigError(f"config file section {command!r} must be a JSON object")
         for key, value in section.items():
+            if key in _SPECS:
+                continue
             key = key.replace("-", "_")
+            if key not in _OPTIONS:
+                raise ConfigError(f"config file {cfg_path!r}: unknown key {key!r}")
             if key in spec:
                 typ = spec[key][0]
-                try:
-                    merged[key] = typ(value) if value is not None else None
+                try:     # argparse's rule: the type is called on the string
+                    merged[key] = typ(str(value)) if value is not None else None
                 except (TypeError, ValueError, OverflowError):
                     raise ConfigError(f"config file {cfg_path!r}: {key} must be "
                                       f"{typ.__name__}, got {value!r}") from None

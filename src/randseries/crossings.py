@@ -120,6 +120,8 @@ def find_crossings(stream, y: float, window: tuple[float, float], eps: float = 1
     x_lo, x_hi = window
     if not (0.0 < x_lo < x_hi < 1.0):
         raise ConfigError(f"need 0 < x_lo < x_hi < 1, got {window!r}")
+    if not math.isfinite(y):
+        raise ConfigError(f"y must be finite, got {y!r}")
     if max_brackets < 1:
         raise ConfigError(f"max_brackets must be >= 1, got {max_brackets!r}")
 

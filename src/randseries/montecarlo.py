@@ -52,10 +52,11 @@ _CALIBRATION_NOTE = (
 )
 
 
-def wilson_interval(successes: int, total: int, z: float = _WILSON_Z) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, total: int) -> tuple[float, float]:
+    """Wilson 95 % score interval for a binomial proportion."""
     if total <= 0:
         return (0.0, 1.0)
+    z = _WILSON_Z
     p = successes / total
     denom = 1.0 + z * z / total
     center = (p + z * z / (2 * total)) / denom

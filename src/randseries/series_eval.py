@@ -112,24 +112,8 @@ def tail_bound(max_abs: float, x: float, n_terms: int) -> float:
 def rounding_slack(n_terms: int, abs_sum: float) -> float:
     """Bound 4 * N * eps_machine * sum|a_n x^n| on the float error of an N-term sum.
 
-    With u = eps_machine / 2 the unit roundoff, it dominates every float error
-    source of the evaluations here, each relative to sum|a_n x^n|:
-
-    - coefficient mirroring: each float a_n is within u of the exact value;
-    - the power ladder: x^i for i <= B (B = 4096) is a cumulative product
-      with at most B-1 roundings, and never more than n-1 for x^n;
-    - the row heads: x^h (h a positive multiple of B) is one direct ``pow``,
-      within one ulp (2u); the head x^0 = 1 is exact;
-    - the product x^h * x^i and the product with a_n: one rounding each;
-    - the block sums: pairwise sums of at most N terms (below (N-1)u), added
-      with a correctly rounded ``math.fsum`` (one more u).
-
-    A power carries at most N - 1 roundings when N <= B (its head is exact)
-    and at most B + 2 otherwise.  To first order the total is then below
-    (2N + 1)u for N <= B and (N + B + 4)u < (2N + 4)u for N > B, which
-    8Nu = 4 * N * eps_machine covers with room to spare (Higham, *Accuracy
-    and Stability of Numerical Algorithms*, section 3.1).  The 1e-300 floor
-    covers underflow in the powers.
+    ``_power_sum`` derives it for its own operations; the 1e-300 floor covers
+    underflow in the powers.
     """
     return 4.0 * n_terms * _EPS * abs_sum + _TINY
 
@@ -145,14 +129,32 @@ def check_finite_sums(max_abs: float, n_terms: int) -> None:
 
 
 def _power_sum(coeffs: np.ndarray, x: float) -> tuple[float, float]:
-    """Return (sum of a_n x^n, sum of |a_n| x^n) for n = 1..len(coeffs).
+    """Return (sum of a_n x^n for n = 1..N, its ``rounding_slack``), N = len(coeffs).
 
     Term n = h + i (1 <= i <= B, h a multiple of B = _LADDER) takes the power
     x^h * x^i: the ladder x^1..x^B is one cumulative product per call and each
-    row head x^h one direct pow, so no power carries more than B + 2
-    roundings however long the sum (see ``rounding_slack``).  Powers and then
-    terms are formed in place in one reused buffer of _BLOCK entries, each
-    block is summed pairwise, and the block sums are added with ``math.fsum``.
+    row head x^h one direct pow.  Powers and then terms are formed in place in
+    one reused buffer of _BLOCK entries, each block is summed pairwise, and
+    the block sums are added with ``math.fsum``.
+
+    The slack is ``rounding_slack(N, sum|a_n x^n|)``.  With u = eps_machine / 2
+    the unit roundoff, it dominates every float error source here, each
+    relative to sum|a_n x^n|:
+
+    - coefficient mirroring: each float a_n is within u of the exact value;
+    - the power ladder: x^i for i <= B (B = 4096) is a cumulative product
+      with at most B-1 roundings, and never more than n-1 for x^n;
+    - the row heads: x^h (h a positive multiple of B) is one direct ``pow``,
+      within one ulp (2u); the head x^0 = 1 is exact;
+    - the product x^h * x^i and the product with a_n: one rounding each;
+    - the block sums: pairwise sums of at most N terms (below (N-1)u), added
+      with a correctly rounded ``math.fsum`` (one more u).
+
+    A power carries at most N - 1 roundings when N <= B (its head is exact)
+    and at most B + 2 otherwise.  To first order the total is then below
+    (2N + 1)u for N <= B and (N + B + 4)u < (2N + 4)u for N > B, which
+    8Nu = 4 * N * eps_machine covers with room to spare (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, section 3.1).
     """
     n = coeffs.shape[0]
     width = min(n, _LADDER)
@@ -172,7 +174,7 @@ def _power_sum(coeffs: np.ndarray, x: float) -> tuple[float, float]:
         sums.append(float(block.sum()))
         np.abs(block, out=block)
         abs_sums.append(float(block.sum()))
-    return math.fsum(sums), math.fsum(abs_sums)
+    return math.fsum(sums), rounding_slack(n, math.fsum(abs_sums))
 
 
 @lru_cache(maxsize=None)
@@ -325,32 +327,28 @@ class MomentTable:
             self._build(n_terms)
         level = self._level(-math.log(x))
         if level < 0 or n_terms < _BASE:
-            value, abs_sum = _power_sum(self._floats(0, n_terms), x)
-            return value, rounding_slack(n_terms, abs_sum)
-        size = _BASE << level
-        count = n_terms // size
-        parts = [self._levels[level][:, :count]]
-        starts = [np.arange(0, count * size, size)]
-        sizes = [np.full(count, size)]
-        pos = count * size
-        for lower in range(level - 1, -1, -1):
-            size = _BASE << lower
-            if n_terms - pos >= size:
-                parts.append(self._levels[lower][:, pos // size:pos // size + 1])
-                starts.append([pos])
-                sizes.append([size])
-                pos += size
-        sizes = np.concatenate(sizes)
+            return _power_sum(self._floats(0, n_terms), x)
+        # q blocks per level from the top down; below the top q is 0 or 1
+        parts, counts, pos = [], [], 0
+        for lv in range(level, -1, -1):
+            size = _BASE << lv
+            q = (n_terms - pos) // size
+            parts.append(self._levels[lv][:, pos // size:pos // size + q])
+            counts.append(q)
+            pos += q * size
+        sizes = np.repeat(_BASE << np.arange(level, -1, -1), counts)
+        half = sizes / 2
         # row j of the series: m_j * t^j / j!, with t^j / j! the product of t/1 .. t/j
         series = np.empty((_ORDER + 1, sizes.shape[0]))
         series[0] = 1.0
-        np.divide(math.log(x) * (sizes / 2), np.arange(1.0, _ORDER + 1)[:, None],
+        np.divide(math.log(x) * half, np.arange(1.0, _ORDER + 1)[:, None],
                   out=series[1:])
         np.cumprod(series, axis=0, out=series)
         series *= np.concatenate(parts, axis=1)
-        # the leftover terms a_n x^n ride along as blocks of one term centred at n
+        # the leftover terms a_n x^n ride along as blocks of one term centred at n;
+        # a block of B terms ending at term e is centred at e - B/2 + 1/2
         terms = np.concatenate([series.sum(axis=0), self._floats(pos, n_terms)])
-        centres = np.concatenate([np.concatenate(starts) + (sizes + 1) / 2,
+        centres = np.concatenate([np.cumsum(sizes) - half + 0.5,
                                   np.arange(pos + 1, n_terms + 1)])
         terms *= np.power(x, centres)
         abs_bound = (self.model.max_abs_float * x * -math.expm1(n_terms * math.log(x))
@@ -380,8 +378,7 @@ def eval_truncated(stream, x: float, n_terms: int) -> BoundedValue:
     if isinstance(stream, MomentTable):
         value, slack = stream.power_sum(x, n_terms)
     else:
-        value, abs_sum = _power_sum(stream.float_coefficients(n_terms), x)
-        slack = rounding_slack(n_terms, abs_sum)
+        value, slack = _power_sum(stream.float_coefficients(n_terms), x)
     return BoundedValue(x, n_terms, value, tail_bound(max_abs, x, n_terms), slack)
 
 
@@ -397,8 +394,8 @@ def _eval_polynomial(coeffs: np.ndarray, x: float, max_abs: float) -> BoundedVal
     if x == 0.0:
         return BoundedValue(x, n, 0.0, 0.0, 0.0)
     check_finite_sums(max_abs, n)
-    value, abs_sum = _power_sum(coeffs, x)
-    return BoundedValue(x, n, value, 0.0, rounding_slack(n, abs_sum))
+    value, slack = _power_sum(coeffs, x)
+    return BoundedValue(x, n, value, 0.0, slack)
 
 
 def check_eps(eps: float) -> None:
@@ -469,8 +466,7 @@ def eval_to_eps(stream, x: float, eps: float) -> BoundedValue:
             budget; the error reports the required N instead of silently
             truncating.
     """
-    n = required_terms(stream.model.max_abs_float, x, eps)
-    check_terms(n, f"eval_to_eps at x={x!r}")
+    n = check_term_budget(stream.model.max_abs_float, [(x, eps)], "eval_to_eps")
     return eval_truncated(stream, x, n)
 
 
@@ -512,9 +508,7 @@ class WalkLowerBound:
     first_violation: Optional[int]
 
 
-def lower_bound_from_positive_walk(
-    prefix: FinitePrefix, x: float, m: int, min_value=None
-) -> WalkLowerBound:
+def lower_bound_from_positive_walk(prefix: FinitePrefix, x: float, m: int) -> WalkLowerBound:
     """Certified lower bound m*minD*x for the Abel form, when every S_l > m*minD.
 
     The partial-sum comparison is exact (rationals); the returned bound is
@@ -524,7 +518,7 @@ def lower_bound_from_positive_walk(
     x = float(x)
     if not (0.0 < x < 1.0):
         raise ConfigError(f"x must lie in (0, 1), got {x!r}")
-    threshold = m * (Fraction(min_value) if min_value is not None else prefix.model.min_value)
+    threshold = m * prefix.model.min_value
     first_violation = None
     s = Fraction(0)
     for l, a in enumerate(prefix.values, start=1):

@@ -89,6 +89,19 @@ class TestConfigHandling:
         assert echoed["seed"] == 4
         assert echoed["depth"] == 1e-3          # flag overrides file
 
+    def test_flat_and_keyed_config_files_shared_between_subcommands(self, tmp_path, capsys):
+        flat = tmp_path / "flat.json"
+        flat.write_text(json.dumps({"set": "-1,1", "depth": 1e-2, "window": "1e-1:1e-2",
+                                    "samples": 2, "workers": 1}))
+        keyed = tmp_path / "keyed.json"
+        keyed.write_text(json.dumps({"scan": {"set": "-1,1", "depth": 1e-2},
+                                     "orbit-check": {"n": 100}}))
+        assert run(["estimate", "--config", str(flat)]) == 0
+        assert run(["crossings", "--config", str(flat)]) == 0
+        assert run(["scan", "--config", str(keyed)]) == 0
+        assert run(["crossings", "--set", "-1,1", "--window", "1e-1:1e-2",
+                    "--config", str(keyed)]) == 0
+
     def test_unreadable_config_exit_two(self, tmp_path, capsys):
         assert run(["scan", "--set", "0,1", "--config", str(tmp_path / "nope.json")]) == 2
 
@@ -265,6 +278,9 @@ class TestFailFast:
         (["crossings", "--set", "-1,1", "--max-brackets", "-3"], {}),
         (["scan", "--set", "-1,1", "--config", '{"scan": {"seed": "abc"}}'], {}),
         (["scan", "--set", "-1,1", "--config", '{"scan": 5}'], {}),
+        (["scan", "--set", "-1,1", "--config", '{"scan": {"dept": 1e-3}}'], {}),
+        (["estimate", "--set", "-1,1", "--config", '{"estimate": {"samples": 2.7}}'], {}),
+        (["bijection", "verify", "--set", "-1,1", "--config", '{"bijection": {"n": true}}'], {}),
         (["scan", "--set", "1e400,1"], {}),
         (["scan", "--set", "1e308,-1e308", "--depth", "1e-2"], {}),
         (["crossings", "--set", "1e308,-1e308", "--window", "1e-1:1e-2"], {}),

@@ -14,6 +14,7 @@ from randseries import (
 )
 from randseries.cli import run
 from randseries.crossings import REFINE_BUDGET, RootBracket
+from randseries.errors import ConfigError
 from randseries.series_eval import BoundedValue
 
 from .streams import PatternStream
@@ -59,6 +60,11 @@ class TestFindCrossings:
     def test_window_validation(self):
         with pytest.raises(ValueError):
             find_crossings(SequenceStream(M11, 1, 0), 0.0, (0.9, 0.5))
+
+    @pytest.mark.parametrize("y", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_level_rejected(self, y):
+        with pytest.raises(ConfigError):
+            find_crossings(SequenceStream(M11, 1, 0), y, (0.9, 0.99))
 
     def test_refinement_preserves_certificates(self):
         # a sound enclosure can certify at most one sign, so tightening eps at

@@ -226,7 +226,7 @@ class TestPositiveWalkBound:
     def test_mixed_walk_with_explicit_min(self):
         m = parse_model("-1,2")
         p = PatternStream(m, [1, 0]).prefix(8)     # 2, -1, 2, -1, ...
-        res = lower_bound_from_positive_walk(p, 0.7, 1, min_value=-1)
+        res = lower_bound_from_positive_walk(p, 0.7, 1)
         assert res.holds
         assert res.bound == pytest.approx(-0.7, rel=1e-12)
         assert eval_abel_form(p, 0.7) > res.bound
