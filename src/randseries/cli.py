@@ -141,10 +141,11 @@ def _merged_config(command: str, ns: argparse.Namespace) -> dict:
             raise ConfigError(f"cannot read config file {cfg_path!r}: {exc}")
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must hold a JSON object")
-        section = file_cfg.get(command, file_cfg)
+        section = file_cfg.get(command, {})
         if not isinstance(section, dict):
             raise ConfigError(f"config file section {command!r} must be a JSON object")
-        for key, value in section.items():
+        # flat keys apply to every subcommand; the running subcommand's section overrides them
+        for key, value in [*file_cfg.items(), *section.items()]:
             if key in _SPECS:
                 continue
             key = key.replace("-", "_")

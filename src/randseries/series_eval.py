@@ -178,63 +178,73 @@ def _power_sum(coeffs: np.ndarray, x: float) -> tuple[float, float]:
 
 
 @lru_cache(maxsize=None)
-def _code_moments(order: int) -> np.ndarray:
-    """Row j, column c: the sum of u_p^j over the set bits p of the 16-bit code c.
+def _byte_moments(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Code moments by byte: the tables (low, high), each of shape (256, order + 1).
 
+    Column j of row b of ``low`` is the sum of u_p^j over the set bits p of
+    the byte b, and of ``high`` the same sum over the bits p - 8 (p >= 8);
     u_p = (2p - 15) / 16 is the offset of term p of a base block from the
-    block centre in units of half the block length.  Every entry is a sum of
-    at most 16 numbers m^j / 16^j with odd |m| <= 15, so it is exact in
-    binary64 for order <= 12.  Built on first use, once per process.
+    block centre in units of half the block length.  The moments of a 16-bit
+    code c are low[c & 255] + high[c >> 8], each a row of 72 bytes.  Every
+    entry, and every such sum, is a sum of at most 16 numbers m^j / 16^j with
+    odd |m| <= 15, so it is exact in binary64 for order <= 12.
     """
-    codes = np.arange(1 << _BASE)
+    byte = np.arange(256)
     u = (2.0 * np.arange(_BASE) - (_BASE - 1)) / _BASE
     powers = np.cumprod(np.vstack([np.ones(_BASE)] + [u] * order), axis=0)
-    table = np.zeros((order + 1, 1 << _BASE))
+    tables = np.zeros((2, 256, order + 1))
     for p in range(_BASE):
-        table += powers[:, p, None] * ((codes >> p) & 1)
-    table.flags.writeable = False
-    return table
+        tables[p // 8] += powers[:, p] * ((byte[:, None] >> (p % 8)) & 1)
+    tables.flags.writeable = False
+    return tables[0], tables[1]
 
 
 def _base_moments(model, indices: np.ndarray, order: int) -> np.ndarray:
     """Moments m_j = sum a_i u_i^j of the 16-term blocks of ``indices``, one column each.
 
     With a_i = d_0 + sum_{v >= 1} (d_v - d_0) [index_i = v], a block's
-    moments are one code lookup per value indicator v >= 1, plus d_0 times
-    the moments of the full code.
+    moments are the exact moments of one 16-bit code per value indicator
+    v >= 1, looked up byte by byte, plus d_0 times the moments of the full
+    code.
     """
-    table = _code_moments(order)
+    low, high = _byte_moments(order)
     d = model.floats
     out = None
     for v in range(1, model.k):
-        codes = np.packbits(indices == v, bitorder="little").view("<u2")
-        part = np.take(table, codes, axis=1)
+        code = np.packbits(indices == v, bitorder="little")   # low byte, high byte per block
+        part = np.take(low, code[0::2], axis=0)
+        part += np.take(high, code[1::2], axis=0)
         part *= d[v] - d[0]
         if out is None:
             out = part
         else:
             out += part
-    out += (d[0] * table[:, -1])[:, None]
-    return out
+    out += d[0] * (low[-1] + high[-1])
+    return np.ascontiguousarray(out.T)
 
 
-def _pair_moments(child: np.ndarray) -> np.ndarray:
-    """Moments of each pair of adjacent blocks about the pair's centre.
+def _pair_moments(child: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Moments of each pair of adjacent blocks about the pair's centre, into ``out`` if given.
 
     In units of the parent's half length a term's offset is (u - 1)/2 in the
     left child and (u + 1)/2 in the right one, so
-    m_j = 2^-j sum_{l <= j} C(j, l) (m^R_l + (-1)^(j-l) m^L_l).
+    m_j = 2^-j sum_{l <= j} C(j, l) (m^R_l + (-1)^(j-l) m^L_l).  Pairs are
+    formed _BLOCK // _BASE at a time, so the rows of a chunk stay in cache.
     """
     pairs = child.shape[1] // 2
-    left, right = child[:, 0:2 * pairs:2], child[:, 1:2 * pairs:2]
-    both, diff = left + right, right - left
-    out = np.empty_like(both)
-    for j in range(child.shape[0]):
-        acc = out[j]
-        acc[:] = both[j]
-        for l in range(j - 1, -1, -1):
-            acc += math.comb(j, l) * (both[l] if (j - l) % 2 == 0 else diff[l])
-        acc *= 0.5 ** j
+    if out is None:
+        out = np.empty((child.shape[0], pairs))
+    step = _BLOCK // _BASE
+    for lo in range(0, pairs, step):
+        hi = min(lo + step, pairs)
+        left, right = child[:, 2 * lo:2 * hi:2], child[:, 2 * lo + 1:2 * hi:2]
+        both, diff = left + right, right - left
+        for j in range(child.shape[0]):
+            acc = out[j, lo:hi]
+            acc[:] = both[j]
+            for l in range(j - 1, -1, -1):
+                acc += math.comb(j, l) * (both[l] if (j - l) % 2 == 0 else diff[l])
+            acc *= 0.5 ** j
     return out
 
 
@@ -251,10 +261,14 @@ class MomentTable:
     With s = -ln x, f(x) = sum a_n e^(-s n) is a discrete Laplace transform,
     and the table evaluates it at many s (Rokhlin, J. Complexity 4, 1988).
     Level L splits the terms into blocks of B = 16 * 2^L with centres c; a
-    block stores m_j = sum a_i u_i^j, u_i = (i - c) / (B/2), for j <= J.  The
-    base level comes from one lookup of a 65,536-row table of exact code
-    moments per value indicator (``_code_moments``), each parent level from
-    its two children (``_pair_moments``).
+    block has the moments m_j = sum a_i u_i^j, u_i = (i - c) / (B/2), for
+    j <= J.  Base blocks (level 0) take two lookups per value indicator, in
+    256-row tables of exact moments of the low and the high byte of the
+    block's 16-bit code (``_byte_moments``), and each parent level comes from
+    its two children (``_pair_moments``).  The table stores the indices and
+    levels 1 and up: each _BLOCK of base moments is paired into level 1 and
+    dropped, and a point that needs base blocks derives them again from the
+    indices, with the same bits.
 
     A point (x, N) uses the largest level with s B/2 <= tau for the full
     blocks of its first N terms, then at most one block from each lower
@@ -273,8 +287,9 @@ class MomentTable:
 
     - the Taylor remainder: |e^-z - sum_{j<=J} (-z)^j/j!| <= tau^(J+1)
       e^tau / (J+1)! for |z| <= tau;
-    - base moments: exact code moments times d_0 and d_v - d_0, added in
-      k steps: at most 3(k + 2) u;
+    - base moments: exact code moments (the sum of two exact byte moments
+      is exact) times d_0 and d_v - d_0, added in k steps: at most
+      3(k + 2) u;
     - each moment shift: the sum and difference, the binomial products and
       the j additions add at most (J + 2) u per level;
     - the series: t^j / j! is the product of the rounded t/1 .. t/j (2j - 1
@@ -305,19 +320,28 @@ class MomentTable:
         """Fill the table from position 1 to n_terms rounded up to a multiple of 16."""
         n = -(-n_terms // _BASE) * _BASE
         self._indices = self._stream.index_array(n)
-        base = np.empty((_ORDER + 1, n // _BASE))
+        # each _BLOCK of base moments is paired into level 1 while in cache, then dropped
+        parent = np.empty((_ORDER + 1, n // (2 * _BASE)))
         for lo in range(0, n, _BLOCK):
-            hi = min(lo + _BLOCK, n)
-            chunk = self._indices[lo:hi]
-            base[:, lo // _BASE:hi // _BASE] = _base_moments(self.model, chunk, _ORDER)
-        self._levels = [base]
-        while self._levels[-1].shape[1] >= 2:
-            self._levels.append(_pair_moments(self._levels[-1]))
+            base = self._blocks(0, lo // _BASE, min(_BLOCK, n - lo) // _BASE)
+            first = lo // (2 * _BASE)
+            _pair_moments(base, parent[:, first:first + base.shape[1] // 2])
+        self._levels = []           # levels 1, 2, ...; level 0 is derived again where needed
+        while parent.shape[1]:
+            self._levels.append(parent)
+            parent = _pair_moments(parent)
+
+    def _blocks(self, level: int, first: int, count: int) -> np.ndarray:
+        """Moments of ``count`` blocks of a level, from block ``first`` on."""
+        if level == 0:
+            return _base_moments(self.model, self._indices[first * _BASE:(first + count) * _BASE],
+                                 _ORDER)
+        return self._levels[level - 1][:, first:first + count]
 
     def _level(self, s: float) -> int:
         """The largest level whose blocks have s * B/2 <= tau, or -1 if none has."""
         level = -1
-        while level + 1 < len(self._levels) and s * (_BASE << (level + 1)) / 2 <= _TAU:
+        while level < len(self._levels) and s * (_BASE << (level + 1)) / 2 <= _TAU:
             level += 1
         return level
 
@@ -333,7 +357,8 @@ class MomentTable:
         for lv in range(level, -1, -1):
             size = _BASE << lv
             q = (n_terms - pos) // size
-            parts.append(self._levels[lv][:, pos // size:pos // size + q])
+            if q:               # level 0 is derived, so skip empty requests
+                parts.append(self._blocks(lv, pos // size, q))
             counts.append(q)
             pos += q * size
         sizes = np.repeat(_BASE << np.arange(level, -1, -1), counts)

@@ -102,6 +102,21 @@ class TestConfigHandling:
         assert run(["crossings", "--set", "-1,1", "--window", "1e-1:1e-2",
                     "--config", str(keyed)]) == 0
 
+    def test_flat_keys_apply_under_the_section_of_the_running_subcommand(self, tmp_path,
+                                                                          capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 4, "depth": 1e-1, "ratio": 0.25,
+                                   "scan": {"set": "-1,1", "depth": 1e-2, "ratio": 0.5}}))
+        out = tmp_path / "scan.csv"
+        assert run(["scan", "--config", str(cfg), "--ratio", "0.4", "--out", str(out)]) == 0
+        echoed = json.loads(read(out).splitlines()[1][len("# config "):])
+        assert echoed["seed"] == 4              # flat key kept beside the section
+        assert echoed["depth"] == 1e-2          # the section overrides the flat key
+        assert echoed["ratio"] == 0.4           # the flag overrides both
+        cfg.write_text(json.dumps({"dept": 1e-2, "scan": {"set": "-1,1", "depth": 1e-2}}))
+        assert run(["scan", "--config", str(cfg)]) == 2
+        assert "unknown key 'dept'" in capsys.readouterr().err
+
     def test_unreadable_config_exit_two(self, tmp_path, capsys):
         assert run(["scan", "--set", "0,1", "--config", str(tmp_path / "nope.json")]) == 2
 

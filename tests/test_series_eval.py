@@ -1,7 +1,9 @@
 import ast
+import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,6 +15,7 @@ import randseries
 from randseries import (
     BudgetExceededError,
     ConfigError,
+    PatchedStream,
     ScanGrid,
     SequenceStream,
     apply_perm,
@@ -28,6 +31,13 @@ from randseries import (
     scan,
     tail_bound,
     witness_nonzero_coordinate,
+)
+from randseries.series_eval import (
+    _ORDER,
+    MomentTable,
+    _base_moments,
+    _byte_moments,
+    _pair_moments,
 )
 
 from .streams import PatternStream
@@ -322,3 +332,73 @@ class TestNoBlas:
                   "np.einsum('i,i', a, b)\nnp.linalg.norm(a)\ninner(a, b)\n")
         assert {name for _, name in _blas_uses(source)} == {"linalg", "dot", "@", "einsum",
                                                             "inner"}
+
+
+def _one_shot_pair_moments(child):
+    """The pair step over all columns at once, as it was before the chunked passes."""
+    pairs = child.shape[1] // 2
+    left, right = child[:, 0:2 * pairs:2], child[:, 1:2 * pairs:2]
+    both, diff = left + right, right - left
+    out = np.empty_like(both)
+    for j in range(child.shape[0]):
+        acc = out[j]
+        acc[:] = both[j]
+        for l in range(j - 1, -1, -1):
+            acc += math.comb(j, l) * (both[l] if (j - l) % 2 == 0 else diff[l])
+        acc *= 0.5 ** j
+    return out
+
+
+M101 = parse_model("-1,0,1", "1/4,1/4,1/2")
+
+
+class TestMomentTableStore:
+    def test_byte_tables_sum_to_the_exact_moments_of_every_code(self):
+        low, high = _byte_moments(_ORDER)
+        codes = np.arange(1 << 16)
+        m = 2 * np.arange(16, dtype=np.int64) - 15          # 16 u_p, odd, |m| <= 15
+        numerators = np.zeros((1 << 16, _ORDER + 1), dtype=np.int64)
+        for p in range(16):
+            numerators += ((codes[:, None] >> p) & 1) * m[p] ** np.arange(_ORDER + 1)
+        exact = numerators / 16.0 ** np.arange(_ORDER + 1)  # a power-of-two division: exact
+        assert np.array_equal(low[codes & 255] + high[codes >> 8], exact)
+
+    @pytest.mark.parametrize("columns", [1, 2, 3, 8191, 8192, 8193, 16385])
+    def test_chunked_pairs_equal_one_shot_pairs(self, columns):
+        child = np.random.default_rng(columns).standard_normal((_ORDER + 1, columns))
+        assert np.array_equal(_pair_moments(child), _one_shot_pair_moments(child))
+
+    @pytest.mark.parametrize("stream", [
+        SequenceStream(M11, 5, 0),
+        SequenceStream(M101, 5, 1),
+        PatchedStream(SequenceStream(M11, 5, 0), [1] * 40 + [0] * 9),
+    ])
+    def test_levels_and_derived_base_blocks_equal_the_whole_slice(self, stream):
+        n = 3 * (1 << 16) + 48                               # 12,291 base blocks
+        table = MomentTable(stream, n)
+        base = _base_moments(stream.model, stream.index_array(n), _ORDER)
+        assert base.shape == (_ORDER + 1, n // 16)
+        for first, count in [(0, 1), (0, 4096), (4095, 2), (4096, 4096), (12_290, 1),
+                             (7, 12_284), (0, n // 16)]:
+            derived = table._blocks(0, first, count)
+            assert np.array_equal(derived, base[:, first:first + count]), (first, count)
+        level = base
+        for stored in table._levels:
+            level = _one_shot_pair_moments(level)
+            assert np.array_equal(stored, level)
+        assert level.shape[1] == 1
+
+    def test_table_store_stays_below_seven_bytes_a_term(self):
+        # 1 B of indices and 2 x 2.25 B of levels 1 and up a term, with the base
+        # level dropped and the pair passes in chunks; the store once peaked at
+        # 12.5-15 B a term.  This bound may only get tighter.
+        n = 1 << 20
+        stream = SequenceStream(M101, 3, 0)
+        tracemalloc.start()
+        try:
+            table = MomentTable(stream, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert table.n_terms == n
+        assert peak < 7 * n
