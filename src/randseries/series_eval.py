@@ -61,7 +61,8 @@ _TINY = 1e-300
 # B the block length).  _TAU^(J+1) e^(2 _TAU) / (J+1)! = 3.4e-15 <= 2^-40.
 _ORDER = 8
 _TAU = 0.1
-_BASE = 16                  # terms per base block: one 16-bit code per value indicator
+_BASE = 64                  # terms per base block: one 64-bit code per value indicator
+_COLUMNS = 4096             # blocks per pass of the table build, so a pass stays in cache
 _POW_ULPS = 16              # allowance for one np.power (glibc and SIMD pow: a few ulps)
 
 
@@ -178,65 +179,65 @@ def _power_sum(coeffs: np.ndarray, x: float) -> tuple[float, float]:
 
 
 @lru_cache(maxsize=None)
-def _byte_moments(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Code moments by byte: the tables (low, high), each of shape (256, order + 1).
+def _byte_moments(order: int) -> np.ndarray:
+    """Code moments by byte: eight tables of shape (256, order + 1), one per byte.
 
-    Column j of row b of ``low`` is the sum of u_p^j over the set bits p of
-    the byte b, and of ``high`` the same sum over the bits p - 8 (p >= 8);
-    u_p = (2p - 15) / 16 is the offset of term p of a base block from the
-    block centre in units of half the block length.  The moments of a 16-bit
-    code c are low[c & 255] + high[c >> 8], each a row of 72 bytes.  Every
-    entry, and every such sum, is a sum of at most 16 numbers m^j / 16^j with
-    odd |m| <= 15, so it is exact in binary64 for order <= 12.
+    Column j of row b of table i is the sum of u_p^j over the set bits
+    p - 8i of the byte b; u_p = (2p - 63) / 64 is the offset of term p of a
+    base block from the block centre in units of half the block length.
+    The moments of a 64-bit code with bytes c_0..c_7 are the sum of the
+    rows table[i, c_i], each of 72 bytes.  Every entry, and every sum of
+    entries, is a sum of at most 64 numbers m^j / 64^j with odd |m| <= 63
+    whose numerators add up in absolute value to at most
+    sum_p |2p - 63|^8 < 2^53, so it is exact in binary64 for order <= 8.
     """
     byte = np.arange(256)
     u = (2.0 * np.arange(_BASE) - (_BASE - 1)) / _BASE
     powers = np.cumprod(np.vstack([np.ones(_BASE)] + [u] * order), axis=0)
-    tables = np.zeros((2, 256, order + 1))
+    tables = np.zeros((_BASE // 8, 256, order + 1))
     for p in range(_BASE):
         tables[p // 8] += powers[:, p] * ((byte[:, None] >> (p % 8)) & 1)
     tables.flags.writeable = False
-    return tables[0], tables[1]
+    return tables
 
 
 def _base_moments(model, indices: np.ndarray, order: int) -> np.ndarray:
-    """Moments m_j = sum a_i u_i^j of the 16-term blocks of ``indices``, one column each.
+    """Moments m_j = sum a_i u_i^j of the 64-term blocks of ``indices``, one column each.
 
     With a_i = d_0 + sum_{v >= 1} (d_v - d_0) [index_i = v], a block's
-    moments are the exact moments of one 16-bit code per value indicator
+    moments are the exact moments of one 64-bit code per value indicator
     v >= 1, looked up byte by byte, plus d_0 times the moments of the full
     code.
     """
-    low, high = _byte_moments(order)
+    tables = _byte_moments(order)
     d = model.floats
     out = None
     for v in range(1, model.k):
-        code = np.packbits(indices == v, bitorder="little")   # low byte, high byte per block
-        part = np.take(low, code[0::2], axis=0)
-        part += np.take(high, code[1::2], axis=0)
+        code = np.packbits(indices == v, bitorder="little").reshape(-1, _BASE // 8)
+        part = np.take(tables[0], code[:, 0], axis=0)
+        for i in range(1, _BASE // 8):
+            part += np.take(tables[i], code[:, i], axis=0)
         part *= d[v] - d[0]
         if out is None:
             out = part
         else:
             out += part
-    out += d[0] * (low[-1] + high[-1])
+    out += d[0] * tables[:, -1].sum(axis=0)
     return np.ascontiguousarray(out.T)
 
 
-def _pair_moments(child: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Moments of each pair of adjacent blocks about the pair's centre, into ``out`` if given.
+def _pair_moments(child: np.ndarray) -> np.ndarray:
+    """Moments of each pair of adjacent blocks about the pair's centre.
 
     In units of the parent's half length a term's offset is (u - 1)/2 in the
     left child and (u + 1)/2 in the right one, so
     m_j = 2^-j sum_{l <= j} C(j, l) (m^R_l + (-1)^(j-l) m^L_l).  Pairs are
-    formed _BLOCK // _BASE at a time, so the rows of a chunk stay in cache.
+    formed _COLUMNS at a time, so the rows of a chunk stay in cache.
     """
     pairs = child.shape[1] // 2
-    if out is None:
-        out = np.empty((child.shape[0], pairs))
-    step = _BLOCK // _BASE
-    for lo in range(0, pairs, step):
-        hi = min(lo + step, pairs)
+    out = np.empty((child.shape[0], pairs))
+    for lo in range(0, pairs, _COLUMNS):
+        hi = min(lo + _COLUMNS, pairs)
         left, right = child[:, 2 * lo:2 * hi:2], child[:, 2 * lo + 1:2 * hi:2]
         both, diff = left + right, right - left
         for j in range(child.shape[0]):
@@ -260,21 +261,19 @@ class MomentTable:
 
     With s = -ln x, f(x) = sum a_n e^(-s n) is a discrete Laplace transform,
     and the table evaluates it at many s (Rokhlin, J. Complexity 4, 1988).
-    Level L splits the terms into blocks of B = 16 * 2^L with centres c; a
+    Level L splits the terms into blocks of B = 64 * 2^L with centres c; a
     block has the moments m_j = sum a_i u_i^j, u_i = (i - c) / (B/2), for
-    j <= J.  Base blocks (level 0) take two lookups per value indicator, in
-    256-row tables of exact moments of the low and the high byte of the
-    block's 16-bit code (``_byte_moments``), and each parent level comes from
-    its two children (``_pair_moments``).  The table stores the indices and
-    levels 1 and up: each _BLOCK of base moments is paired into level 1 and
-    dropped, and a point that needs base blocks derives them again from the
-    indices, with the same bits.
+    j <= J.  Base blocks (level 0) take eight lookups per value indicator,
+    in 256-row tables of exact moments of each byte of the block's 64-bit
+    code (``_byte_moments``), and each parent level comes from its two
+    children (``_pair_moments``).  The table stores the indices and every
+    level from the base up.
 
     A point (x, N) uses the largest level with s B/2 <= tau for the full
     blocks of its first N terms, then at most one block from each lower
-    level, and adds the last N mod 16 terms a_n x^n one by one.  A block
+    level, and adds the last N mod 64 terms a_n x^n one by one.  A block
     contributes x^c * sum_j m_j t^j / j! with t = -s B/2.  When no level
-    qualifies, or N < 16, every term is summed directly, bit for bit as
+    qualifies, or N < 64, every term is summed directly, bit for bit as
     ``eval_truncated`` does on the stream.  The table is filled to the
     requested length on construction; a point that needs more terms rebuilds
     it from position 1 at that length, so a grown table is a fresh one.
@@ -287,11 +286,11 @@ class MomentTable:
 
     - the Taylor remainder: |e^-z - sum_{j<=J} (-z)^j/j!| <= tau^(J+1)
       e^tau / (J+1)! for |z| <= tau;
-    - base moments: exact code moments (the sum of two exact byte moments
-      is exact) times d_0 and d_v - d_0, added in k steps: at most
-      3(k + 2) u;
+    - base moments: exact code moments (a sum of exact byte moments is
+      exact) times d_0 and d_v - d_0, added in k steps: at most 3(k + 2) u;
     - each moment shift: the sum and difference, the binomial products and
-      the j additions add at most (J + 2) u per level;
+      the j additions add at most (J + 2) u per level, and ``level`` counts
+      the pair steps above the exact 64-term base;
     - the series: t^j / j! is the product of the rounded t/1 .. t/j (2j - 1
       roundings), times m_j (one more), summed over j in order (J more):
       3(J + 1) u;
@@ -301,9 +300,9 @@ class MomentTable:
     Here u = eps_machine / 2; the bound counts each rounding as 2u to cover
     second-order terms.  The leftover terms (one power and one product
     each, at most 2 _POW_ULPS + 1 = 33 u) and the pairwise sum of the at
-    most N/16 + log2 N + 15 values (that many u) stay below
-    e^(2 tau) (N/16 + log2 N + 48) u of A, which ``rounding_slack(N, A)``
-    (8 N u A) covers for N >= 16.
+    most N/64 + log2 N + 63 values (that many u) stay below
+    e^(2 tau) (N/64 + log2 N + 96) u of A, which ``rounding_slack(N, A)``
+    (8 N u A) covers for N >= 64.
     """
 
     def __init__(self, stream, n_terms: int):
@@ -313,35 +312,26 @@ class MomentTable:
 
     @property
     def n_terms(self) -> int:
-        """Terms the table holds: a multiple of 16."""
+        """Terms the table holds: a multiple of 64."""
         return self._indices.shape[0]
 
     def _build(self, n_terms: int) -> None:
-        """Fill the table from position 1 to n_terms rounded up to a multiple of 16."""
+        """Fill the table from position 1 to n_terms rounded up to a multiple of 64."""
         n = -(-n_terms // _BASE) * _BASE
         self._indices = self._stream.index_array(n)
-        # each _BLOCK of base moments is paired into level 1 while in cache, then dropped
-        parent = np.empty((_ORDER + 1, n // (2 * _BASE)))
-        for lo in range(0, n, _BLOCK):
-            base = self._blocks(0, lo // _BASE, min(_BLOCK, n - lo) // _BASE)
-            first = lo // (2 * _BASE)
-            _pair_moments(base, parent[:, first:first + base.shape[1] // 2])
-        self._levels = []           # levels 1, 2, ...; level 0 is derived again where needed
-        while parent.shape[1]:
-            self._levels.append(parent)
-            parent = _pair_moments(parent)
-
-    def _blocks(self, level: int, first: int, count: int) -> np.ndarray:
-        """Moments of ``count`` blocks of a level, from block ``first`` on."""
-        if level == 0:
-            return _base_moments(self.model, self._indices[first * _BASE:(first + count) * _BASE],
-                                 _ORDER)
-        return self._levels[level - 1][:, first:first + count]
+        level = np.empty((_ORDER + 1, n // _BASE))
+        for lo in range(0, n // _BASE, _COLUMNS):
+            level[:, lo:lo + _COLUMNS] = _base_moments(
+                self.model, self._indices[lo * _BASE:(lo + _COLUMNS) * _BASE], _ORDER)
+        self._levels = []           # levels 0, 1, ...: blocks of 64, 128, ... terms
+        while level.shape[1]:
+            self._levels.append(level)
+            level = _pair_moments(level)
 
     def _level(self, s: float) -> int:
         """The largest level whose blocks have s * B/2 <= tau, or -1 if none has."""
         level = -1
-        while level < len(self._levels) and s * (_BASE << (level + 1)) / 2 <= _TAU:
+        while level + 1 < len(self._levels) and s * (_BASE << (level + 1)) / 2 <= _TAU:
             level += 1
         return level
 
@@ -357,8 +347,7 @@ class MomentTable:
         for lv in range(level, -1, -1):
             size = _BASE << lv
             q = (n_terms - pos) // size
-            if q:               # level 0 is derived, so skip empty requests
-                parts.append(self._blocks(lv, pos // size, q))
+            parts.append(self._levels[lv][:, pos // size:pos // size + q])
             counts.append(q)
             pos += q * size
         sizes = np.repeat(_BASE << np.arange(level, -1, -1), counts)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import randseries
-from randseries import boundary_scan, crossings, montecarlo, symmetry, witnesses
+from randseries import boundary_scan, cli, crossings, montecarlo, symmetry, witnesses
 from randseries.cli import run
 from randseries.coefficients import SequenceStream
 
@@ -427,6 +427,29 @@ class TestModuleEntryPoint:
         proc = self.run_module(*argv, "--set", "-1,1", "--eps", "1e-301", timeout=30)
         assert proc.returncode == 2
         assert proc.stdout == "" and proc.stderr.startswith("error: eps must exceed 1e-300")
+
+
+class TestOneProcess:
+    SEQUENCE = [
+        ["estimate", "--set", "1"],
+        ["--version"],
+        ["crossings", "--set", "-1,1", "--seed", "12", "--window", "1e-1:1e-3"],
+        ["bijection", "verify", "--set", "-1,1", "--n", "4"],
+        ["crossings", "--set", "-1,1", "--seed", "12", "--window", "1e-1:1e-3"],
+    ]
+
+    def test_commands_in_sequence_match_each_run_alone(self, capsys):
+        outcomes = []
+        for argv in self.SEQUENCE:
+            code = run(argv)
+            out, err = capsys.readouterr()
+            outcomes.append((code, out, err))
+        assert [code for code, _, _ in outcomes] == [2, 0, 0, 0, 0]
+        assert outcomes[4] == outcomes[2]
+        assert cli._build_parser() is cli._build_parser()
+        for argv, outcome in zip(self.SEQUENCE, outcomes):
+            proc = TestModuleEntryPoint.run_module(*argv)
+            assert outcome == (proc.returncode, proc.stdout, proc.stderr), argv
 
 
 class TestAtomicWrites:

@@ -1,29 +1,35 @@
 """Enclosure soundness against an independent exact-arithmetic oracle.
 
-At dyadic points x = 1 - 2^-t the truncated sum sum_{n<=N} a_n x^n is
-computed by Horner's rule in integer fixed point with FRAC_BITS fractional
-bits.  Multiplying by x is S - S/2^t, a shift, so every step rounds outward
-by at most one unit in the last place and the oracle brackets the exact
-truncated sum within N * 2^-FRAC_BITS.  No float enters the oracle, so it
-shares no rounding with ``eval_truncated``, on a stream or on a ``MomentTable``.
+Every binary64 x in (0, 1) is exactly m / 2^e, so the truncated sum
+sum_{n<=N} a_n x^n of integer coefficients is computed by Horner's rule in
+integer fixed point with FRAC_BITS fractional bits, each step an integer
+product and a shift, (S * m) >> e.  Rounding every step down gives a lower
+bound and rounding it up an upper one, and the two bracket the exact
+truncated sum within N * 2^-FRAC_BITS.  A rational set is scaled to integers
+by its common denominator first.  No float enters the oracle, so it shares
+no rounding with ``eval_truncated``, on a stream or on a ``MomentTable``.
 """
 
 import math
+import statistics
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
 from randseries import (
     PatchedStream,
     SequenceStream,
+    crossings,
     eval_to_eps,
     eval_truncated,
+    find_crossings,
     parse_model,
     required_terms,
     series_eval,
 )
 from randseries.coefficients import _BLOCK
-from randseries.series_eval import _LADDER, _ORDER, _TAU, MomentTable, rounding_slack
+from randseries.series_eval import _BASE, _LADDER, _ORDER, _TAU, MomentTable, rounding_slack
 
 FRAC_BITS = 160
 EPS = 0.01
@@ -34,26 +40,43 @@ MODELS = {
 }
 
 
-def fixed_point_sum(coefficients: list[int], t: int) -> tuple[Fraction, Fraction]:
-    """Outward-rounded [lo, hi] around sum a_n (1 - 2^-t)^n over n = 1..N."""
+def fixed_point_sum(coefficients: list[int], x: float) -> tuple[Fraction, Fraction]:
+    """Outward-rounded [lo, hi] around sum a_n x^n over n = 1..N, for binary64 x."""
+    m, d = float(x).as_integer_ratio()
+    e = d.bit_length() - 1                  # x = m / 2^e
     lo = hi = 0
     for a in reversed(coefficients):
         scaled = a << FRAC_BITS
-        lo = scaled + lo + ((-lo) >> t)     # floor(x * lo): lo - ceil(lo / 2^t)
-        hi = scaled + hi - (hi >> t)        # ceil(x * hi): hi - floor(hi / 2^t)
-    lo += (-lo) >> t
-    hi -= hi >> t
-    return Fraction(lo, 1 << FRAC_BITS), Fraction(hi, 1 << FRAC_BITS)
+        lo = scaled + ((lo * m) >> e)       # floor(x * lo)
+        hi = scaled - ((-hi * m) >> e)      # ceil(x * hi)
+    return Fraction((lo * m) >> e, 1 << FRAC_BITS), Fraction(-((-hi * m) >> e), 1 << FRAC_BITS)
 
 
-def test_oracle_brackets_exact_rational_sum():
+def integer_scaled(model) -> tuple[list[int], int]:
+    """The set's values times their common denominator D, and D."""
+    den = math.lcm(*(v.denominator for v in model.values))
+    return [int(v * den) for v in model.values], den
+
+
+def scaled_sum(stream, x: float, n: int) -> tuple[Fraction, Fraction]:
+    """The oracle's [lo, hi] around the stream's truncated sum at x over n terms."""
+    values, den = integer_scaled(stream.model)
+    lo, hi = fixed_point_sum([values[i] for i in stream.index_array(n).tolist()], x)
+    return lo / den, hi / den
+
+
+@pytest.mark.parametrize("x", [0.5, 1 - 2.0 ** -4, 1 - 2.0 ** -9, 0.1, 0.9, 1 - 0.1 * 2.0 ** -3])
+def test_oracle_brackets_exact_rational_sum(x):
     coefficients = [1, -1, -1, 0, 1, 1, -1, 1, 0, -1] * 30
-    for t in (1, 4, 9):
-        x = 1 - Fraction(1, 2 ** t)
-        exact = sum(a * x ** n for n, a in enumerate(coefficients, start=1))
-        lo, hi = fixed_point_sum(coefficients, t)
-        assert lo <= exact <= hi
-        assert hi - lo <= Fraction(len(coefficients), 1 << FRAC_BITS)
+    exact = sum(a * Fraction(x) ** n for n, a in enumerate(coefficients, start=1))
+    lo, hi = fixed_point_sum(coefficients, x)
+    assert lo <= exact <= hi
+    assert hi - lo <= Fraction(len(coefficients), 1 << FRAC_BITS)
+
+
+def test_integer_scaled_rational_set():
+    assert integer_scaled(parse_model("-2,1,3/7")) == ([-14, 7, 3], 7)
+    assert integer_scaled(MODELS["binary"]) == ([-1, 1], 1)
 
 
 @pytest.mark.parametrize("t", [4, 8, 12, 16])
@@ -66,9 +89,7 @@ def test_enclosure_contains_exact_truncated_sum(name, seed, t):
     n = required_terms(model.max_abs_float, x, EPS)
     assert n <= 1_100_000
 
-    values = [int(v) for v in model.values]
-    assert [Fraction(v) for v in values] == list(model.values)
-    lo, hi = fixed_point_sum([values[i] for i in stream.index_array(n).tolist()], t)
+    lo, hi = scaled_sum(stream, x, n)
     assert hi - lo <= Fraction(n, 1 << FRAC_BITS)
 
     bv = eval_truncated(stream, x, n)
@@ -94,8 +115,7 @@ def test_enclosure_at_ladder_and_block_edges(name, t, n):
     model = MODELS[name]
     stream = SequenceStream(model, 7, 0)
     x = 1.0 - 2.0 ** -t
-    values = [int(v) for v in model.values]
-    lo, hi = fixed_point_sum([values[i] for i in stream.index_array(n).tolist()], t)
+    lo, hi = scaled_sum(stream, x, n)
 
     bv = eval_truncated(stream, x, n)
     assert bv.n_terms == n
@@ -103,10 +123,15 @@ def test_enclosure_at_ladder_and_block_edges(name, t, n):
     assert hi <= Fraction(bv.value) + Fraction(bv.rounding_slack)
 
 
-# The moment table: blocks of 16 terms at level 0 and 16 * 2^L at level L, and
-# the table's own length; TABLE_GROWN lies past it, so evaluating there grows it.
+def table_length(n: int) -> int:
+    """Terms a table filled to n holds: n rounded up to whole base blocks."""
+    return -(-n // _BASE) * _BASE
+
+
+# The moment table: blocks of _BASE terms at level 0 and _BASE * 2^L at level L,
+# and the table's own length; TABLE_GROWN lies past it, so evaluating there grows it.
 TABLE_TERMS = 5000
-TABLE_LENGTH = 5008
+TABLE_LENGTH = table_length(TABLE_TERMS)
 TABLE_GROWN = TABLE_LENGTH + 200
 TABLE_EDGES = ([1, 15, 16, 17] + [(1 << k) + e for k in range(5, 13) for e in (-1, 0, 1)]
                + [TABLE_LENGTH, TABLE_GROWN])
@@ -121,13 +146,14 @@ def table_and_oracle(name, t):
     """Yield (n, table evaluation, oracle bracket) at every TABLE_EDGES length, in order."""
     stream = TABLE_STREAMS[name]()
     table = MomentTable(stream, TABLE_TERMS)
-    values = [int(v) for v in stream.model.values]
+    values, den = integer_scaled(stream.model)
     coefficients = [values[i] for i in stream.index_array(TABLE_GROWN).tolist()]
     x = 1.0 - 2.0 ** -t
     for n in TABLE_EDGES:
         bv = eval_truncated(table, x, n)
-        assert table.n_terms == (TABLE_LENGTH if n <= TABLE_LENGTH else TABLE_GROWN + 8)
-        yield n, bv, fixed_point_sum(coefficients[:n], t)
+        assert table.n_terms == table_length(max(n, TABLE_TERMS))
+        lo, hi = fixed_point_sum(coefficients[:n], x)
+        yield n, bv, (lo / den, hi / den)
 
 
 @pytest.mark.parametrize("t", range(4, 21))
@@ -139,23 +165,74 @@ def test_table_enclosure_contains_exact_truncated_sum(name, t):
         assert hi <= Fraction(bv.value) + Fraction(bv.rounding_slack), n
 
 
+# The crossings detection grid for the window 1e-2:1e-4 (every other point) and
+# the bisection midpoints of a real run: non-dyadic x on both evaluation paths.
+CROSSINGS_WINDOW = (1.0 - 1e-2, 1.0 - 1e-4)
+CROSSINGS_EPS = 1e-3
+CROSSINGS_MODELS = {
+    "binary": MODELS["binary"],
+    "ternary_weighted": MODELS["ternary_weighted"],
+    "rational": parse_model("-2,1,3/7"),
+}
+
+
+@lru_cache(maxsize=None)
+def crossings_points(name):
+    """(stream, [(x, n, oracle lo, oracle hi)]) over the grid and a run's midpoints."""
+    stream = SequenceStream(CROSSINGS_MODELS[name], 7, 0)
+    grid = crossings._detection_grid(*CROSSINGS_WINDOW)
+    # y at the median grid value, so the run crosses it and bisects
+    y = statistics.median(eval_to_eps(stream, x, CROSSINGS_EPS).value for x in grid)
+    evaluated = []
+
+    def recording(source, x, eps):
+        evaluated.append((x, eps))
+        return eval_to_eps(source, x, eps)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(crossings, "eval_to_eps", recording)
+        report = find_crossings(stream, y, CROSSINGS_WINDOW, CROSSINGS_EPS)
+    midpoints = [(x, eps) for x, eps in evaluated if x not in grid]
+    assert report.brackets and midpoints
+    max_abs = stream.model.max_abs_float
+    points = []
+    for x, eps in [(x, CROSSINGS_EPS) for x in grid[::2]] + midpoints:
+        n = required_terms(max_abs, x, eps)
+        points.append((x, n, *scaled_sum(stream, x, n)))
+    return stream, points
+
+
+@pytest.mark.parametrize("path", ["table", "direct"])
+@pytest.mark.parametrize("name", sorted(CROSSINGS_MODELS))
+def test_enclosure_at_crossings_points(name, path):
+    stream, points = crossings_points(name)
+    source = MomentTable(stream, max(n for _, n, _, _ in points)) if path == "table" else stream
+    for x, n, lo, hi in points:
+        assert x.as_integer_ratio()[0] % 2                # odd m: x is not dyadic
+        bv = eval_truncated(source, x, n)
+        assert Fraction(bv.value) - Fraction(bv.rounding_slack) <= lo, x
+        assert hi <= Fraction(bv.value) + Fraction(bv.rounding_slack), x
+    if path == "table":                                 # most points read table blocks
+        assert sum(source._level(-math.log(x)) >= 0 for x, *_ in points) > len(points) / 2
+
+
 def test_grown_table_equals_a_fresh_one():
     stream = SequenceStream(MODELS["ternary_weighted"], 3, 1)
     grown = MomentTable(stream, 1000)
     fresh = MomentTable(stream, 70_000)
     eval_truncated(grown, 0.999, 1)
-    assert grown.n_terms == 1008
+    assert grown.n_terms == table_length(1000)
     eval_truncated(grown, 0.999, 70_000)
-    assert grown.n_terms == 70_000
+    assert grown.n_terms == table_length(70_000)
     for x in (0.999, 1.0 - 2.0 ** -20):
         for n in (1, 17, 999, 1000, 4097, 65_537, 70_000):
             assert eval_truncated(grown, x, n) == eval_truncated(fresh, x, n)
 
 
-@pytest.mark.parametrize("n", [1, 15, 16, 17, TABLE_TERMS, 70_000])
+@pytest.mark.parametrize("n", [1, _BASE - 1, _BASE, _BASE + 1, TABLE_TERMS, 70_000])
 def test_table_is_filled_to_the_request_on_construction(n):
     table = MomentTable(SequenceStream(MODELS["ternary_weighted"], 3, 1), n)
-    assert table.n_terms == -(-n // 16) * 16
+    assert table.n_terms == table_length(n)
 
 
 def test_table_error_constants():
@@ -164,14 +241,15 @@ def test_table_error_constants():
 
 
 def test_each_point_uses_the_largest_level_with_s_b_over_2_within_tau():
-    table = MomentTable(SequenceStream(MODELS["binary"], 7, 0), 1 << 16)
-    top = 12                                    # 2^16 terms in blocks of 16 * 2^12
+    n = 1 << 16
+    table = MomentTable(SequenceStream(MODELS["binary"], 7, 0), n)
+    top = (n // _BASE).bit_length() - 1         # n terms in one block of _BASE * 2^top
     for t in range(1, 30):
         for x in (1.0 - 2.0 ** -t, 1.0 - 1.5 * 2.0 ** -t):
             s = -math.log(x)
             level = table._level(s)
-            half = 8 << max(level, 0)           # half the block length at that level
-            assert (s * half <= _TAU) if level >= 0 else (s * 8 > _TAU), x
+            half = (_BASE // 2) << max(level, 0)  # half the block length at that level
+            assert (s * half <= _TAU) if level >= 0 else (s * half > _TAU), x
             assert level == top or s * 2 * half > _TAU, x
 
 

@@ -33,6 +33,7 @@ from randseries import (
     witness_nonzero_coordinate,
 )
 from randseries.series_eval import (
+    _BASE,
     _ORDER,
     MomentTable,
     _base_moments,
@@ -353,15 +354,24 @@ M101 = parse_model("-1,0,1", "1/4,1/4,1/2")
 
 
 class TestMomentTableStore:
-    def test_byte_tables_sum_to_the_exact_moments_of_every_code(self):
-        low, high = _byte_moments(_ORDER)
-        codes = np.arange(1 << 16)
-        m = 2 * np.arange(16, dtype=np.int64) - 15          # 16 u_p, odd, |m| <= 15
-        numerators = np.zeros((1 << 16, _ORDER + 1), dtype=np.int64)
-        for p in range(16):
-            numerators += ((codes[:, None] >> p) & 1) * m[p] ** np.arange(_ORDER + 1)
-        exact = numerators / 16.0 ** np.arange(_ORDER + 1)  # a power-of-two division: exact
-        assert np.array_equal(low[codes & 255] + high[codes >> 8], exact)
+    def test_byte_tables_give_the_exact_moments_of_64_bit_codes(self):
+        # every byte-table sum is exact: the numerators of its summands add up
+        # to at most sum_p |2p - 63|^8, which binary64 holds exactly
+        assert sum(abs(2 * p - 63) ** 8 for p in range(64)) == 1_995_742_783_874_112 < 2 ** 53
+        assert _BASE == 64
+        tables = _byte_moments(_ORDER)
+        assert tables.shape == (8, 256, _ORDER + 1)
+        ones = (1 << 64) - 1
+        specials = [ones, 0x5555_5555_5555_5555, 0xAAAA_AAAA_AAAA_AAAA] + [1 << p for p in range(64)]
+        randoms = np.random.default_rng(64).integers(0, ones, 10_000, dtype=np.uint64,
+                                                    endpoint=True)
+        codes = np.concatenate([np.array(specials, dtype=np.uint64), randoms])
+        bits = (codes[:, None] >> np.arange(64, dtype=np.uint64)) & np.uint64(1)
+        m = 2 * np.arange(64, dtype=np.int64) - 63           # 64 u_p, odd, |m| <= 63
+        numerators = bits.astype(np.int64) @ m[:, None] ** np.arange(_ORDER + 1)
+        exact = numerators / 64.0 ** np.arange(_ORDER + 1)  # a power-of-two division: exact
+        looked_up = sum(tables[i][(codes >> np.uint64(8 * i)) & np.uint64(255)] for i in range(8))
+        assert np.array_equal(looked_up, exact)
 
     @pytest.mark.parametrize("columns", [1, 2, 3, 8191, 8192, 8193, 16385])
     def test_chunked_pairs_equal_one_shot_pairs(self, columns):
@@ -372,26 +382,38 @@ class TestMomentTableStore:
         SequenceStream(M11, 5, 0),
         SequenceStream(M101, 5, 1),
         PatchedStream(SequenceStream(M11, 5, 0), [1] * 40 + [0] * 9),
+        SequenceStream(parse_model("-2,1,3/7"), 5, 2),
     ])
-    def test_levels_and_derived_base_blocks_equal_the_whole_slice(self, stream):
-        n = 3 * (1 << 16) + 48                               # 12,291 base blocks
+    def test_stored_levels_equal_a_one_shot_pyramid_over_the_whole_base(self, stream):
+        n = 12_291 * _BASE - 5                              # three _COLUMNS chunks and a bit
         table = MomentTable(stream, n)
-        base = _base_moments(stream.model, stream.index_array(n), _ORDER)
-        assert base.shape == (_ORDER + 1, n // 16)
-        for first, count in [(0, 1), (0, 4096), (4095, 2), (4096, 4096), (12_290, 1),
-                             (7, 12_284), (0, n // 16)]:
-            derived = table._blocks(0, first, count)
-            assert np.array_equal(derived, base[:, first:first + count]), (first, count)
-        level = base
-        for stored in table._levels:
+        assert table.n_terms == 12_291 * _BASE
+        level = _base_moments(stream.model, stream.index_array(table.n_terms), _ORDER)
+        assert level.shape == (_ORDER + 1, 12_291)
+        assert np.array_equal(table._levels[0], level)
+        for stored in table._levels[1:]:
             level = _one_shot_pair_moments(level)
             assert np.array_equal(stored, level)
         assert level.shape[1] == 1
 
-    def test_table_store_stays_below_seven_bytes_a_term(self):
-        # 1 B of indices and 2 x 2.25 B of levels 1 and up a term, with the base
-        # level dropped and the pair passes in chunks; the store once peaked at
-        # 12.5-15 B a term.  This bound may only get tighter.
+    @pytest.mark.parametrize("stream", [SequenceStream(M11, 5, 0), SequenceStream(M101, 5, 1)])
+    def test_integer_sets_keep_the_bits_of_16_term_blocks_paired_twice(self, stream):
+        # 16-term moments of integer coefficients are exact, and so are two
+        # pairings of them: the 64-term base has the same bits
+        n = 4096 * _BASE
+        values = np.array([int(v) for v in stream.model.values], dtype=np.int64)
+        a = values[stream.index_array(n)].reshape(-1, 16)
+        m = 2 * np.arange(16, dtype=np.int64) - 15          # 16 u_p, odd, |m| <= 15
+        numerators = a @ m[:, None] ** np.arange(_ORDER + 1)
+        sixteen = np.ascontiguousarray((numerators / 16.0 ** np.arange(_ORDER + 1)).T)
+        paired = _one_shot_pair_moments(_one_shot_pair_moments(sixteen))
+        assert np.array_equal(_base_moments(stream.model, stream.index_array(n), _ORDER), paired)
+
+    def test_table_store_stays_below_four_and_a_half_bytes_a_term(self):
+        # 1 B of indices, 1.125 B of 64-term base moments and 1.125 B of the
+        # levels above them a term, with the base built and paired 4,096
+        # columns at a time; the store once peaked at 12.5-15 B a term, and at
+        # 6.4 B with 16-term blocks.  This bound may only get tighter.
         n = 1 << 20
         stream = SequenceStream(M101, 3, 0)
         tracemalloc.start()
@@ -401,4 +423,4 @@ class TestMomentTableStore:
         finally:
             tracemalloc.stop()
         assert table.n_terms == n
-        assert peak < 7 * n
+        assert peak < 4.5 * n
