@@ -132,17 +132,17 @@ class ScanReport:
 def scan(stream, grid: ScanGrid = ScanGrid(), eps: float = DEFAULT_EPS) -> ScanReport:
     """One certified enclosure per grid point, with running certified extrema.
 
-    The term budget is checked for every grid point before any evaluation,
-    and the stream's float cache is filled once to the deepest point.
+    The term budget is checked at the deepest grid point, which bounds the
+    others, before any evaluation; the float cache is filled once to it.
     """
     label, eps = repr(eps), float(eps)
-    n_max = check_term_budget(stream.model.max_abs_float,
-                              ((x, eps) for x in grid.points()), "scan grid")
+    deltas = grid.deltas()
+    n_max = check_term_budget(stream.model.max_abs_float, (1 - d for d in deltas), eps, "scan grid")
     stream.float_coefficients(n_max)
     rows = []
     sup_lower = -math.inf
     inf_upper = math.inf
-    for m, delta in enumerate(grid.deltas()):
+    for m, delta in enumerate(deltas):
         x = 1.0 - delta
         bv = eval_to_eps(stream, x, eps)
         sup_lower = max(sup_lower, bv.lower)

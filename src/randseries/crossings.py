@@ -113,9 +113,9 @@ def find_crossings(stream, y: float, window: tuple[float, float], eps: float = 1
         eps: tail tolerance for the enclosures used in sign certification.
         max_brackets: stop (and flag truncation) after this many brackets, >= 1.
 
-    The term budget is checked, and eps validated, at every grid point before
-    any evaluation.  Every point, refinement midpoints included, is then
-    evaluated from one ``MomentTable`` of the stream.
+    The term budget is checked, and eps validated, at the deepest grid point
+    (it bounds the others) before any evaluation.  Every point, refinement
+    midpoints included, is then evaluated from one ``MomentTable``.
     """
     x_lo, x_hi = window
     if not (0.0 < x_lo < x_hi < 1.0):
@@ -126,8 +126,7 @@ def find_crossings(stream, y: float, window: tuple[float, float], eps: float = 1
         raise ConfigError(f"max_brackets must be >= 1, got {max_brackets!r}")
 
     grid = _detection_grid(x_lo, x_hi)
-    n_max = check_term_budget(stream.model.max_abs_float, ((x, eps) for x in grid),
-                              "crossings grid")
+    n_max = check_term_budget(stream.model.max_abs_float, grid, eps, "crossings grid")
     table = MomentTable(stream, n_max)
     brackets: list[RootBracket] = []
     indeterminate: list[float] = []

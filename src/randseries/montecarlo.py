@@ -131,8 +131,7 @@ def _fold_samples(config: ExperimentConfig, grid: ScanGrid, thresholds: tuple):
     name), the running sup/inf into two histogram Counters.  The term budget
     is checked once, before any sample or pool starts.
     """
-    check_term_budget(config.model.max_abs_float,
-                      ((x, config.eps) for x in grid.points()), "scan grid")
+    check_term_budget(config.model.max_abs_float, grid.points(), config.eps, "scan grid")
     kernel = partial(_sample_kernel, config.model, config.master_seed, grid,
                      config.eps, thresholds)
     tally, hist_sup, hist_inf = Counter(), Counter(), Counter()

@@ -41,7 +41,6 @@ __all__ = [
     "required_terms",
     "rounding_slack",
     "tail_bound",
-    "term_budget",
 ]
 
 DEFAULT_TERM_BUDGET = 50_000_000
@@ -64,17 +63,6 @@ _TAU = 0.1
 _BASE = 64                  # terms per base block: one 64-bit code per value indicator
 _COLUMNS = 4096             # blocks per pass of the table build, so a pass stays in cache
 _POW_ULPS = 16              # allowance for one np.power (glibc and SIMD pow: a few ulps)
-
-
-def term_budget() -> int:
-    """The work budget read by ``check_terms``: RANDSERIES_TERM_BUDGET, else the default."""
-    env = os.environ.get(TERM_BUDGET_ENV)
-    if env:
-        try:
-            return int(float(env))
-        except (ValueError, OverflowError):
-            raise ConfigError(f"{TERM_BUDGET_ENV} must be a number, got {env!r}") from None
-    return DEFAULT_TERM_BUDGET
 
 
 @dataclass(frozen=True)
@@ -450,26 +438,30 @@ def required_terms(max_abs: float, x: float, eps: float) -> int:
 
 def check_terms(n_terms: int, context: str) -> None:
     """Raise BudgetExceededError if n_terms units of work (evaluation terms, word-array
-    cells, prefix-infimum Horner cells or walk steps) exceed the one work budget."""
-    limit = term_budget()
+    cells, prefix-infimum Horner cells or walk steps) exceed the one work budget:
+    RANDSERIES_TERM_BUDGET, else DEFAULT_TERM_BUDGET."""
+    env = os.environ.get(TERM_BUDGET_ENV)
+    try:
+        limit = int(float(env)) if env else DEFAULT_TERM_BUDGET
+    except (ValueError, OverflowError):
+        raise ConfigError(f"{TERM_BUDGET_ENV} must be a number, got {env!r}") from None
     if n_terms > limit:
         raise BudgetExceededError(n_terms, limit, context=context)
 
 
-def check_term_budget(max_abs: float, points: Iterable, what: str) -> int:
-    """Check every (x, eps) point an operation will evaluate, before the first one.
+def check_term_budget(max_abs: float, xs: Iterable[float], eps: float, what: str) -> int:
+    """Check the points xs an operation will evaluate at eps, before the first one.
 
-    A point's term count depends only on (max|d|, x, eps), never on the
-    coefficients, so one check decides for every stream of the model.
-    Returns the largest term count (0 for no points).
+    At fixed eps the tail bound max|d| x^(N+1)/(1-x) grows with x, so the
+    deepest point needs the most terms, and a term count never depends on
+    the coefficients: one check at max(xs) decides for every point and
+    every stream of the model.  Returns that point's term count.
     """
-    most = 0
-    for i, (x, eps) in enumerate(points):
-        n = required_terms(max_abs, x, eps)
-        check_terms(n, f"{what} point {i}, x={x!r}")
-        check_finite_sums(max_abs, n)
-        most = max(most, n)
-    return most
+    x = max(xs)
+    n = required_terms(max_abs, x, eps)
+    check_terms(n, f"{what} point x={x!r}")
+    check_finite_sums(max_abs, n)
+    return n
 
 
 def eval_to_eps(stream, x: float, eps: float) -> BoundedValue:
@@ -480,7 +472,7 @@ def eval_to_eps(stream, x: float, eps: float) -> BoundedValue:
             budget; the error reports the required N instead of silently
             truncating.
     """
-    n = check_term_budget(stream.model.max_abs_float, [(x, eps)], "eval_to_eps")
+    n = check_term_budget(stream.model.max_abs_float, (x,), eps, "eval_to_eps")
     return eval_truncated(stream, x, n)
 
 

@@ -40,6 +40,8 @@ def orbit_values(prefix: FinitePrefix, x) -> list:
     """
     k = prefix.model.k
     if isinstance(x, Fraction):
+        if not (0 <= x < 1):
+            raise ConfigError(f"x must lie in [0, 1), got {x}")
         out = []
         for j in range(k):
             rotated = apply_perm(prefix, j)

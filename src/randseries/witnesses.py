@@ -141,11 +141,14 @@ def witness_positive(prefix: FinitePrefix, m: float, *,
     minimal N > M at which any all-min(D) tail costs less than 1.
 
     Raises:
+        ConfigError: unless m is finite.
         WitnessImpossibleError: when max(D) <= 0, so no padding can force
             arbitrarily large values.
         PreconditionError: when no x on the ladder certifies the target, as
             for targets near the largest float.
     """
+    if not math.isfinite(m):
+        raise ConfigError(f"target must be finite, got {m!r}")
     model = prefix.model
     max_d = model.max_value
     if max_d <= 0:

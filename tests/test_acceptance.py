@@ -180,6 +180,7 @@ def _oscillation_by_depth(report, depths):
     return out
 
 
+@pytest.mark.slow
 def test_criterion_08_zero_mean_oscillates(report8_w1):
     with criterion(8, "zero-mean oscillation fraction grows with depth "
                       "(calibrated floor 0.52 at depth 1e-5)"):
@@ -279,6 +280,7 @@ def test_criterion_12_witness_soundness():
         assert members_checked >= 1000
 
 
+@pytest.mark.slow
 def test_criterion_13_workers_do_not_change_bytes(report7_w1, report7_w8,
                                                   report8_w1, report8_w8):
     with criterion(13, "reports are byte-identical for 1 and 8 workers"):

@@ -16,9 +16,11 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from randseries import (
     PatchedStream,
+    ScanGrid,
     SequenceStream,
     crossings,
     eval_to_eps,
@@ -214,6 +216,77 @@ def test_enclosure_at_crossings_points(name, path):
         assert hi <= Fraction(bv.value) + Fraction(bv.rounding_slack), x
     if path == "table":                                 # most points read table blocks
         assert sum(source._level(-math.log(x)) >= 0 for x, *_ in points) > len(points) / 2
+
+
+def assert_enclosed(source, x, n, lo, hi):
+    """The direct or table evaluation of n terms at x brackets the oracle's [lo, hi]."""
+    bv = eval_truncated(source, x, n)
+    assert bv.n_terms == n
+    assert Fraction(bv.value) - Fraction(bv.rounding_slack) <= lo, (x, n)
+    assert hi <= Fraction(bv.value) + Fraction(bv.rounding_slack), (x, n)
+
+
+def oracle_points(stream, xs, eps):
+    """[(x, n, oracle lo, oracle hi)] at the truncation eval_to_eps takes for each x."""
+    max_abs = stream.model.max_abs_float
+    points = []
+    for x in xs:
+        n = required_terms(max_abs, x, eps)
+        points.append((x, n, *scaled_sum(stream, x, n)))
+    return points
+
+
+# Every point of the depth-1e-4 scan grid, x = 1 - 0.1 * 2^-m down to 1 - 1e-4,
+# at the scan's eps, on two sets whose values are not integers.
+SCAN_GRID_MODELS = {
+    "unbalanced": parse_model("-0.1,0.3"),
+    "rational": parse_model("-2,1,3/7"),
+}
+
+
+@lru_cache(maxsize=None)
+def scan_grid_points(name):
+    stream = SequenceStream(SCAN_GRID_MODELS[name], 7, 0)
+    return stream, oracle_points(stream, ScanGrid(delta_min=1e-4).points(), EPS)
+
+
+@pytest.mark.parametrize("path", ["table", "direct"])
+@pytest.mark.parametrize("name", sorted(SCAN_GRID_MODELS))
+def test_enclosure_at_scan_grid_points(name, path):
+    stream, points = scan_grid_points(name)
+    source = MomentTable(stream, max(n for _, n, _, _ in points)) if path == "table" else stream
+    for x, n, lo, hi in points:
+        assert x.as_integer_ratio()[0] % 2                # odd m: x is not dyadic
+        assert_enclosed(source, x, n, lo, hi)
+    if path == "table":                                 # the deep points read table blocks
+        assert any(source._level(-math.log(x)) >= 0 for x, *_ in points)
+
+
+def test_enclosure_of_a_patched_stream_at_non_dyadic_x():
+    base = SequenceStream(MODELS["ternary_weighted"], 7, 0)
+    head = [(i + 1) % 3 for i in base.index_array(300).tolist()]    # differs everywhere
+    stream = PatchedStream(base, head)
+    assert stream.index_array(300).tolist() == head
+    points = oracle_points(stream, [0.9, 0.99, 1.0 - 0.1 * 2.0 ** -5, 1.0 - 3e-4], EPS)
+    for source in (stream, MomentTable(stream, max(n for _, n, _, _ in points))):
+        for x, n, lo, hi in points:
+            assert_enclosed(source, x, n, lo, hi)
+
+
+# The oracle resolves N * 2^-FRAC_BITS, so x stays above 2^-20: there every
+# slack, at least 4 eps_machine min|a| x, is wider by more than 20 orders.
+DRAWN_MODELS = [MODELS["binary"], *SCAN_GRID_MODELS.values()]
+
+
+@given(model=st.sampled_from(DRAWN_MODELS), seed=st.integers(0, 2**32 - 1),
+       x=st.floats(2.0 ** -20, 1.0, exclude_max=True) | st.floats(0.995, 1.0, exclude_max=True),
+       n=st.integers(1, 5000))
+@settings(max_examples=40, deadline=None)
+def test_enclosure_at_drawn_binary64_x(model, seed, x, n):
+    stream = SequenceStream(model, seed, 0)
+    lo, hi = scaled_sum(stream, x, n)
+    for source in (stream, MomentTable(stream, n)):
+        assert_enclosed(source, x, n, lo, hi)
 
 
 def test_grown_table_equals_a_fresh_one():

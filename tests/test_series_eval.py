@@ -9,28 +9,35 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import randseries
 from randseries import (
     BudgetExceededError,
     ConfigError,
+    ExperimentConfig,
     PatchedStream,
     ScanGrid,
     SequenceStream,
     apply_perm,
     crossing_counts_by_depth,
+    crossings,
+    estimate_properties,
     eval_abel_form,
     eval_prefix,
     eval_to_eps,
     eval_truncated,
+    find_crossings,
     lower_bound_from_positive_walk,
+    orbit_sum,
     parse_model,
     partial_sums,
     required_terms,
     scan,
+    series_eval,
     tail_bound,
     witness_nonzero_coordinate,
+    witness_positive,
 )
 from randseries.series_eval import (
     _BASE,
@@ -265,7 +272,12 @@ _PREFIX = PatternStream(M01, [1]).prefix(3)
     lambda: crossing_counts_by_depth(ALL_ONES, 0.0, [1e-3, 1e-2]),
     lambda: witness_nonzero_coordinate(_PREFIX, -1),
     lambda: apply_perm(_PREFIX, 2),
-], ids=["n_terms", "abel_x", "walk_x", "no_depths", "depth_order", "witness_m", "rotation"])
+    lambda: orbit_sum(_PREFIX, Fraction(3, 2)),
+    lambda: witness_positive(_PREFIX, math.inf),
+    lambda: witness_positive(_PREFIX, -math.inf),
+    lambda: witness_positive(_PREFIX, math.nan),
+], ids=["n_terms", "abel_x", "walk_x", "no_depths", "depth_order", "witness_m", "rotation",
+        "orbit_exact_x", "witness_inf", "witness_minus_inf", "witness_nan"])
 def test_bad_library_arguments_raise_config_error(call):
     with pytest.raises(ConfigError):
         call()
@@ -297,6 +309,69 @@ class TestOneBudgetHome:
         # every work budget goes through check_terms; the grid-point cap is the other one
         assert _budget_error_sites() == {("series_eval", "check_terms"),
                                          ("boundary_scan", "ScanGrid.deltas")}
+
+
+def _counting(monkeypatch, module, name) -> list:
+    """Replace module.name by a wrapper that records the arguments of every call."""
+    calls, real = [], getattr(module, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+class TestDeepestPointBudget:
+    """A grid's deepest point needs the most terms, so it alone decides the budget."""
+
+    @given(max_abs=st.floats(0.0, 1e300), eps=st.floats(1e-300, 1e300, exclude_min=True),
+           x1=st.floats(0.0, 1.0, exclude_max=True), x2=st.floats(0.0, 1.0, exclude_max=True),
+           ulps=st.integers(1, 8), near=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_required_terms_never_falls_as_x_rises(self, max_abs, eps, x1, x2, ulps, near):
+        if near:                            # x2 a few ulps above x1
+            x2 = x1
+            for _ in range(ulps):
+                x2 = math.nextafter(x2, 1.0)
+            assume(x2 < 1.0)
+        x1, x2 = sorted((x1, x2))
+        assert required_terms(max_abs, x1, eps) <= required_terms(max_abs, x2, eps)
+
+    def test_scan_reads_the_budget_once_then_once_a_point(self, monkeypatch):
+        calls = _counting(monkeypatch, series_eval, "required_terms")
+        grid = ScanGrid(delta_min=1e-4)
+        scan(SequenceStream(M11, 1, 0), grid)
+        assert len(calls) == 1 + grid.size()
+
+    def test_crossings_reads_the_budget_once_then_once_an_evaluation(self, monkeypatch):
+        calls = _counting(monkeypatch, series_eval, "required_terms")
+        evals = _counting(monkeypatch, crossings, "eval_to_eps")
+        window = (1.0 - 1e-2, 1.0 - 1e-4)
+        report = find_crossings(SequenceStream(M11, 1, 0), 0.0, window, 1e-3)
+        assert len(evals) >= report.grid_size
+        assert len(calls) == 1 + len(evals)
+
+    @pytest.mark.parametrize("run", ["scan", "crossings", "estimate"])
+    def test_over_budget_error_names_the_deepest_point(self, run, monkeypatch):
+        # points far shallower than the deepest one are already over the budget
+        monkeypatch.setenv("RANDSERIES_TERM_BUDGET", "100000")
+        grid, eps = ScanGrid(delta_min=1e-7), 0.01
+        xs = grid.points()
+        if run == "scan":
+            call = lambda: scan(SequenceStream(M11, 1, 0), grid, eps)
+        elif run == "crossings":
+            window = (1.0 - 1e-2, 1.0 - 1e-7)
+            xs = crossings._detection_grid(*window)
+            call = lambda: find_crossings(SequenceStream(M11, 1, 0), 0.0, window, eps)
+        else:
+            call = lambda: estimate_properties(ExperimentConfig(M11, 2, 0, grid, eps=eps))
+        deepest = max(xs)
+        with pytest.raises(BudgetExceededError) as exc:
+            call()
+        assert exc.value.required == required_terms(M11.max_abs_float, deepest, eps)
+        assert f"x={deepest!r}" in str(exc.value)
 
 
 _BLAS_NAMES = {"dot", "matmul", "einsum", "inner", "tensordot", "vdot", "linalg", "@"}
