@@ -149,7 +149,7 @@ class CoefficientModel:
     def max_abs(self) -> Fraction:
         return max(abs(v) for v in self.values)
 
-    @property
+    @cached_property
     def max_abs_float(self) -> float:
         return float(self.max_abs)
 

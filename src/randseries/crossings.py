@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ConfigError
-from .series_eval import MomentTable, check_term_budget, eval_to_eps
+from .series_eval import MomentTable, check_term_budget, eval_to_eps, required_terms
 
 __all__ = [
     "CrossingReport",
@@ -115,7 +115,9 @@ def find_crossings(stream, y: float, window: tuple[float, float], eps: float = 1
 
     The term budget is checked, and eps validated, at the deepest grid point
     (it bounds the others) before any evaluation.  Every point, refinement
-    midpoints included, is then evaluated from one ``MomentTable``.
+    midpoints included, is then evaluated from one ``MomentTable``, which
+    is handed the grid points with their truncations and evaluates them
+    together when it is built.
     """
     x_lo, x_hi = window
     if not (0.0 < x_lo < x_hi < 1.0):
@@ -126,8 +128,9 @@ def find_crossings(stream, y: float, window: tuple[float, float], eps: float = 1
         raise ConfigError(f"max_brackets must be >= 1, got {max_brackets!r}")
 
     grid = _detection_grid(x_lo, x_hi)
-    n_max = check_term_budget(stream.model.max_abs_float, grid, eps, "crossings grid")
-    table = MomentTable(stream, n_max)
+    max_abs = stream.model.max_abs_float
+    n_max = check_term_budget(max_abs, grid, eps, "crossings grid")
+    table = MomentTable(stream, n_max, [(x, required_terms(max_abs, x, eps)) for x in grid])
     brackets: list[RootBracket] = []
     indeterminate: list[float] = []
     truncated = False

@@ -57,10 +57,10 @@ _INFLATE = 1.0 + 2.0 ** -40
 _TINY = 1e-300
 # Block-moment table (``MomentTable``): moments of order 0.._ORDER about each
 # block's centre, used for a point only where s * B / 2 <= _TAU (s = -ln x,
-# B the block length).  _TAU^(J+1) e^(2 _TAU) / (J+1)! = 3.4e-15 <= 2^-40.
-_ORDER = 8
+# B the block length).  _TAU^(J+1) e^(2 _TAU) / (J+1)! = 3.0e-13 <= 2^-40.
+_ORDER = 7
 _TAU = 0.1
-_BASE = 64                  # terms per base block: one 64-bit code per value indicator
+_BASE = 128                 # terms per base block: one 128-bit code per value indicator
 _COLUMNS = 4096             # blocks per pass of the table build, so a pass stays in cache
 _POW_ULPS = 16              # allowance for one np.power (glibc and SIMD pow: a few ulps)
 
@@ -168,16 +168,16 @@ def _power_sum(coeffs: np.ndarray, x: float) -> tuple[float, float]:
 
 @lru_cache(maxsize=None)
 def _byte_moments(order: int) -> np.ndarray:
-    """Code moments by byte: eight tables of shape (256, order + 1), one per byte.
+    """Code moments by byte: sixteen tables of shape (256, order + 1), one per byte.
 
     Column j of row b of table i is the sum of u_p^j over the set bits
-    p - 8i of the byte b; u_p = (2p - 63) / 64 is the offset of term p of a
+    p - 8i of the byte b; u_p = (2p - 127) / 128 is the offset of term p of a
     base block from the block centre in units of half the block length.
-    The moments of a 64-bit code with bytes c_0..c_7 are the sum of the
-    rows table[i, c_i], each of 72 bytes.  Every entry, and every sum of
-    entries, is a sum of at most 64 numbers m^j / 64^j with odd |m| <= 63
-    whose numerators add up in absolute value to at most
-    sum_p |2p - 63|^8 < 2^53, so it is exact in binary64 for order <= 8.
+    The moments of a 128-bit code with bytes c_0..c_15 are the sum of the
+    rows table[i, c_i], each of 64 bytes.  Every entry, and every sum of
+    entries, is a sum of at most 128 numbers m^j / 128^j with odd
+    |m| <= 127 whose numerators add up in absolute value to at most
+    sum_p |2p - 127|^7 < 2^53, so it is exact in binary64 for order <= 7.
     """
     byte = np.arange(256)
     u = (2.0 * np.arange(_BASE) - (_BASE - 1)) / _BASE
@@ -190,10 +190,10 @@ def _byte_moments(order: int) -> np.ndarray:
 
 
 def _base_moments(model, indices: np.ndarray, order: int) -> np.ndarray:
-    """Moments m_j = sum a_i u_i^j of the 64-term blocks of ``indices``, one column each.
+    """Moments m_j = sum a_i u_i^j of the 128-term blocks of ``indices``, one column each.
 
     With a_i = d_0 + sum_{v >= 1} (d_v - d_0) [index_i = v], a block's
-    moments are the exact moments of one 64-bit code per value indicator
+    moments are the exact moments of one 128-bit code per value indicator
     v >= 1, looked up byte by byte, plus d_0 times the moments of the full
     code.
     """
@@ -214,8 +214,8 @@ def _base_moments(model, indices: np.ndarray, order: int) -> np.ndarray:
     return np.ascontiguousarray(out.T)
 
 
-def _pair_moments(child: np.ndarray) -> np.ndarray:
-    """Moments of each pair of adjacent blocks about the pair's centre.
+def _pair_moments(child: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Moments of each pair of adjacent blocks about the pair's centre, into ``out`` if given.
 
     In units of the parent's half length a term's offset is (u - 1)/2 in the
     left child and (u + 1)/2 in the right one, so
@@ -223,7 +223,8 @@ def _pair_moments(child: np.ndarray) -> np.ndarray:
     formed _COLUMNS at a time, so the rows of a chunk stay in cache.
     """
     pairs = child.shape[1] // 2
-    out = np.empty((child.shape[0], pairs))
+    if out is None:
+        out = np.empty((child.shape[0], pairs))
     for lo in range(0, pairs, _COLUMNS):
         hi = min(lo + _COLUMNS, pairs)
         left, right = child[:, 2 * lo:2 * hi:2], child[:, 2 * lo + 1:2 * hi:2]
@@ -237,6 +238,7 @@ def _pair_moments(child: np.ndarray) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
 def _table_error(order: int, level: int, k: int) -> float:
     """Error of a table evaluation relative to max|d| * sum_{n<=N} x^n (see MomentTable)."""
     remainder = _TAU ** (order + 1) / math.factorial(order + 1)
@@ -244,27 +246,40 @@ def _table_error(order: int, level: int, k: int) -> float:
     return math.exp(2.0 * _TAU) * (remainder + roundings * _EPS)
 
 
+def _runs(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(run, offset in the run) of each entry of consecutive runs of the given lengths."""
+    run = np.repeat(np.arange(lengths.shape[0]), lengths)
+    return run, np.arange(run.shape[0]) - (np.cumsum(lengths) - lengths)[run]
+
+
 class MomentTable:
     """Block moments of one stream's prefix: many evaluations from one pass over it.
 
     With s = -ln x, f(x) = sum a_n e^(-s n) is a discrete Laplace transform,
     and the table evaluates it at many s (Rokhlin, J. Complexity 4, 1988).
-    Level L splits the terms into blocks of B = 64 * 2^L with centres c; a
+    Level L splits the terms into blocks of B = 128 * 2^L with centres c; a
     block has the moments m_j = sum a_i u_i^j, u_i = (i - c) / (B/2), for
-    j <= J.  Base blocks (level 0) take eight lookups per value indicator,
-    in 256-row tables of exact moments of each byte of the block's 64-bit
-    code (``_byte_moments``), and each parent level comes from its two
-    children (``_pair_moments``).  The table stores the indices and every
-    level from the base up.
+    j <= J = 7.  Base blocks (level 0) take sixteen lookups per value
+    indicator, in 256-row tables of exact moments of each byte of the
+    block's 128-bit code (``_byte_moments``), and each parent level comes
+    from its two children (``_pair_moments``).  The table stores the
+    indices and the base level; a level above is paired from the one below
+    the first time a point picks it (``_level``), into columns set aside
+    for it in one array that holds the whole pyramid.
 
     A point (x, N) uses the largest level with s B/2 <= tau for the full
     blocks of its first N terms, then at most one block from each lower
-    level, and adds the last N mod 64 terms a_n x^n one by one.  A block
+    level, and adds the last N mod 128 terms a_n x^n one by one.  A block
     contributes x^c * sum_j m_j t^j / j! with t = -s B/2.  When no level
-    qualifies, or N < 64, every term is summed directly, bit for bit as
-    ``eval_truncated`` does on the stream.  The table is filled to the
-    requested length on construction; a point that needs more terms rebuilds
-    it from position 1 at that length, so a grown table is a fresh one.
+    qualifies, or N < 128, every term is summed directly, bit for bit as
+    ``eval_truncated`` does on the stream.  ``power_sums`` evaluates many
+    points in one pass of array operations and adds each point's values in
+    an order of its own, so a point has the same bits in any batch.  The
+    table is filled to the requested length on construction, and the points
+    handed to it then are evaluated together and kept for ``power_sum``.
+    A point that needs more terms rebuilds the table from position 1 at
+    that length, so a grown table is a fresh one; a rebuild drops the kept
+    results.
 
     The slack of a table evaluation is ``rounding_slack(N, A)`` plus
     ``_table_error * A``, with A = max|d| * sum x^n (closed form, inflated
@@ -278,7 +293,7 @@ class MomentTable:
       exact) times d_0 and d_v - d_0, added in k steps: at most 3(k + 2) u;
     - each moment shift: the sum and difference, the binomial products and
       the j additions add at most (J + 2) u per level, and ``level`` counts
-      the pair steps above the exact 64-term base;
+      the pair steps above the exact 128-term base;
     - the series: t^j / j! is the product of the rounded t/1 .. t/j (2j - 1
       roundings), times m_j (one more), summed over j in order (J more):
       3(J + 1) u;
@@ -287,76 +302,138 @@ class MomentTable:
 
     Here u = eps_machine / 2; the bound counts each rounding as 2u to cover
     second-order terms.  The leftover terms (one power and one product
-    each, at most 2 _POW_ULPS + 1 = 33 u) and the pairwise sum of the at
-    most N/64 + log2 N + 63 values (that many u) stay below
-    e^(2 tau) (N/64 + log2 N + 96) u of A, which ``rounding_slack(N, A)``
-    (8 N u A) covers for N >= 64.
+    each, at most 2 _POW_ULPS + 1 = 33 u) and the sum, in a fixed order, of
+    the at most N/128 + log2 N + 127 values of a point (that many u) stay
+    below e^(2 tau) (N/128 + log2 N + 160) u of A, which
+    ``rounding_slack(N, A)`` (8 N u A) covers for N >= 128.
     """
 
-    def __init__(self, stream, n_terms: int):
+    def __init__(self, stream, n_terms: int, points: Iterable[tuple[float, int]] = ()):
         self.model = stream.model
         self._stream = stream
         self._build(n_terms)
+        points = list(points)
+        self._kept = dict(zip(points, self.power_sums(points)))
 
     @property
     def n_terms(self) -> int:
-        """Terms the table holds: a multiple of 64."""
+        """Terms the table holds: a multiple of 128."""
         return self._indices.shape[0]
 
     def _build(self, n_terms: int) -> None:
-        """Fill the table from position 1 to n_terms rounded up to a multiple of 64."""
+        """Fill the table from position 1 to n_terms rounded up to a multiple of 128."""
         n = -(-n_terms // _BASE) * _BASE
         self._indices = self._stream.index_array(n)
-        level = np.empty((_ORDER + 1, n // _BASE))
-        for lo in range(0, n // _BASE, _COLUMNS):
-            level[:, lo:lo + _COLUMNS] = _base_moments(
+        widths = [n // _BASE >> level for level in range((n // _BASE).bit_length())]
+        self._starts = [0, *accumulate(widths)]     # level L in columns starts[L]..starts[L+1]
+        self._pyramid = np.empty((_ORDER + 1, self._starts[-1]))
+        base = self._pyramid[:, :widths[0]]
+        for lo in range(0, widths[0], _COLUMNS):
+            base[:, lo:lo + _COLUMNS] = _base_moments(
                 self.model, self._indices[lo * _BASE:(lo + _COLUMNS) * _BASE], _ORDER)
-        self._levels = []           # levels 0, 1, ...: blocks of 64, 128, ... terms
-        while level.shape[1]:
-            self._levels.append(level)
-            level = _pair_moments(level)
+        self._levels = [base]       # the levels built so far: blocks of 128, 256, ... terms
+        self._kept = {}
 
     def _level(self, s: float) -> int:
-        """The largest level whose blocks have s * B/2 <= tau, or -1 if none has."""
+        """The largest level whose blocks have s * B/2 <= tau, or -1 if none has.
+
+        A level is paired from the one below it the first time it is picked.
+        """
+        top = len(self._starts) - 2
         level = -1
-        while level + 1 < len(self._levels) and s * (_BASE << (level + 1)) / 2 <= _TAU:
+        while level < top and s * (_BASE << (level + 1)) / 2 <= _TAU:
             level += 1
+        while len(self._levels) <= level:
+            up = len(self._levels)
+            self._levels.append(_pair_moments(
+                self._levels[-1], self._pyramid[:, self._starts[up]:self._starts[up + 1]]))
         return level
 
     def power_sum(self, x: float, n_terms: int) -> tuple[float, float]:
         """(sum of a_n x^n for n = 1..N, its rounding slack), for 0 < x < 1."""
-        if n_terms > self.n_terms:
-            self._build(n_terms)
-        level = self._level(-math.log(x))
-        if level < 0 or n_terms < _BASE:
-            return _power_sum(self._floats(0, n_terms), x)
-        # q blocks per level from the top down; below the top q is 0 or 1
-        parts, counts, pos = [], [], 0
-        for lv in range(level, -1, -1):
-            size = _BASE << lv
-            q = (n_terms - pos) // size
-            parts.append(self._levels[lv][:, pos // size:pos // size + q])
-            counts.append(q)
-            pos += q * size
-        sizes = np.repeat(_BASE << np.arange(level, -1, -1), counts)
-        half = sizes / 2
+        kept = self._kept.get((x, n_terms))
+        return kept if kept is not None else self.power_sums([(x, n_terms)])[0]
+
+    def power_sums(self, points: Iterable[tuple[float, int]]) -> list[tuple[float, float]]:
+        """``power_sum`` at each point (x, N), 0 < x < 1, in one pass over the table.
+
+        Points that no level serves, or with N < 128, are summed directly.
+        The others are evaluated in groups of about _COLUMNS blocks, so the
+        arrays of a group stay in cache.
+        """
+        points = list(points)
+        n_max = max((n for _, n in points), default=0)
+        if n_max > self.n_terms:
+            self._build(n_max)
+        out: list = [None] * len(points)
+        group: list[tuple[int, float, int, int]] = []
+        blocks = 0
+        for i, (x, n) in enumerate(points):
+            level = self._level(-math.log(x)) if n >= _BASE else -1
+            if level < 0:
+                out[i] = _power_sum(self._floats(0, n), x)
+                continue
+            group.append((i, x, n, level))
+            blocks += n // (_BASE << level) + level
+            if blocks >= _COLUMNS:
+                self._table_sums(group, out)
+                group, blocks = [], 0
+        if group:
+            self._table_sums(group, out)
+        return out
+
+    def _table_sums(self, group: list[tuple[int, float, int, int]], out: list) -> None:
+        """Set out[i] for each point (i, x, N, level) of the group from table blocks.
+
+        A point's entries are its q full blocks of its level, at most one
+        block of each lower level, and its leftover terms, which ride along
+        as blocks of one term centred at n.  One gather reads every block's
+        moments, one series pass and one ``np.power`` weight all entries,
+        and ``np.bincount`` adds each point's entries one by one in that
+        order, whatever the other points of the group are.
+        """
+        q, low, rest = [], [], []
+        for p, (_, x, n, level) in enumerate(group):
+            size = _BASE << level
+            q.append(n // size)
+            pos = q[-1] * size
+            for lv in range(level - 1, -1, -1):
+                size >>= 1
+                if n - pos >= size:
+                    low.append((p, self._starts[lv] + pos // size, pos, size))
+                    pos += size
+            rest.append((pos, n - pos))
+        levels = np.array([point[3] for point in group])
+        top_point, offset = _runs(np.array(q))
+        top_size = _BASE << levels[top_point]
+        low_point, low_col, low_first, low_size = np.array(low, dtype=np.int64).reshape(-1, 4).T
+        point = np.concatenate([top_point, low_point])
+        cols = np.concatenate([np.array(self._starts)[levels][top_point] + offset, low_col])
+        first = np.concatenate([offset * top_size, low_first])
+        half = np.concatenate([top_size, low_size]) / 2
         # row j of the series: m_j * t^j / j!, with t^j / j! the product of t/1 .. t/j
-        series = np.empty((_ORDER + 1, sizes.shape[0]))
-        series[0] = 1.0
-        np.divide(math.log(x) * half, np.arange(1.0, _ORDER + 1)[:, None],
-                  out=series[1:])
+        moments = np.take(self._pyramid, cols, axis=1)
+        logs = np.array([math.log(x) for _, x, _, _ in group])
+        series = np.divide(logs[point] * half, np.arange(1.0, _ORDER + 1)[:, None])
         np.cumprod(series, axis=0, out=series)
-        series *= np.concatenate(parts, axis=1)
-        # the leftover terms a_n x^n ride along as blocks of one term centred at n;
-        # a block of B terms ending at term e is centred at e - B/2 + 1/2
-        terms = np.concatenate([series.sum(axis=0), self._floats(pos, n_terms)])
-        centres = np.concatenate([np.cumsum(sizes) - half + 0.5,
-                                  np.arange(pos + 1, n_terms + 1)])
-        terms *= np.power(x, centres)
-        abs_bound = (self.model.max_abs_float * x * -math.expm1(n_terms * math.log(x))
-                     / (1.0 - x) * _INFLATE)
-        return float(terms.sum()), (rounding_slack(n_terms, abs_bound)
-                                    + _table_error(_ORDER, level, self.model.k) * abs_bound)
+        series *= moments[1:]
+        values = moments[0].copy()
+        for row in series:
+            values += row
+        # a block of B terms starting after term e is centred at e + B/2 + 1/2
+        pos, count = np.array(rest).T
+        rest_point, rest_offset = _runs(count)
+        terms = rest_offset + pos[rest_point]
+        values = np.concatenate([values, self.model.floats[self._indices[terms]]])
+        centres = np.concatenate([first + half + 0.5, terms + 1.0])
+        point = np.concatenate([point, rest_point])
+        values *= np.power(np.array([x for _, x, _, _ in group])[point], centres)
+        sums = np.bincount(point, weights=values, minlength=len(group))
+        max_abs, k = self.model.max_abs_float, self.model.k
+        for (i, x, n, level), value in zip(group, sums.tolist()):
+            abs_bound = max_abs * x * -math.expm1(n * math.log(x)) / (1.0 - x) * _INFLATE
+            out[i] = value, (rounding_slack(n, abs_bound)
+                             + _table_error(_ORDER, level, k) * abs_bound)
 
     def _floats(self, lo: int, hi: int) -> np.ndarray:
         """Float mirrors of coefficients a_(lo+1)..a_hi."""

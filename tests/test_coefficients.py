@@ -68,6 +68,16 @@ class TestModelValidation:
         assert den == 6 and scaled == (3, -2)
 
 
+class TestCachedFloats:
+    def test_max_abs_float_is_the_cached_float_of_max_abs(self):
+        m = parse_model("-2,1,3/7")
+        assert m.max_abs == 2 and m.max_abs_float == 2.0
+        m = parse_model("-1/3,2/7")
+        assert m.max_abs == Fraction(1, 3)
+        assert m.max_abs_float == float(Fraction(1, 3))
+        assert m.max_abs_float is m.max_abs_float        # converted once, then cached
+
+
 class TestMean:
     def test_symmetric_zero(self):
         m = model_of("-1", "1")

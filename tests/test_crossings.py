@@ -130,7 +130,7 @@ class TestMomentTablePath:
     @staticmethod
     def direct(monkeypatch, *args, **kwargs):
         with monkeypatch.context() as m:
-            m.setattr(crossings, "MomentTable", lambda stream, n_terms: stream)
+            m.setattr(crossings, "MomentTable", lambda stream, n_terms, points: stream)
             return find_crossings(*args, **kwargs)
 
     @pytest.mark.parametrize("model,seeds,y", [(M11, range(16), 0.0), (M101W, range(8), 100.0)])

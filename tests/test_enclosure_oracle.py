@@ -14,7 +14,9 @@ import math
 import statistics
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -218,6 +220,30 @@ def test_enclosure_at_crossings_points(name, path):
         assert sum(source._level(-math.log(x)) >= 0 for x, *_ in points) > len(points) / 2
 
 
+@lru_cache(maxsize=None)
+def crossings_grid_points(name):
+    """(stream, [(x, n, oracle lo, oracle hi)]) at every point of the detection grid."""
+    stream, points = crossings_points(name)
+    grid = crossings._detection_grid(*CROSSINGS_WINDOW)
+    even = points[:len(grid[::2])]                      # crossings_points has these already
+    odd = oracle_points(stream, grid[1::2], CROSSINGS_EPS)
+    merged = [point for pair in zip_longest(even, odd) for point in pair if point is not None]
+    assert [x for x, *_ in merged] == grid
+    return stream, merged
+
+
+@pytest.mark.parametrize("name", sorted(CROSSINGS_MODELS))
+def test_enclosure_at_every_crossings_grid_point_of_one_batch(name):
+    # find_crossings hands its table the whole grid, which it evaluates as one batch
+    stream, points = crossings_grid_points(name)
+    table = MomentTable(stream, max(n for _, n, _, _ in points),
+                        [(x, n) for x, n, _, _ in points])
+    assert len(table._kept) == len(points)
+    for x, n, lo, hi in points:
+        assert_enclosed(table, x, n, lo, hi)
+    assert sum(table._level(-math.log(x)) >= 0 for x, *_ in points) > len(points) / 2
+
+
 def assert_enclosed(source, x, n, lo, hi):
     """The direct or table evaluation of n terms at x brackets the oracle's [lo, hi]."""
     bv = eval_truncated(source, x, n)
@@ -300,6 +326,21 @@ def test_grown_table_equals_a_fresh_one():
     for x in (0.999, 1.0 - 2.0 ** -20):
         for n in (1, 17, 999, 1000, 4097, 65_537, 70_000):
             assert eval_truncated(grown, x, n) == eval_truncated(fresh, x, n)
+
+
+def test_grown_table_with_kept_results_equals_a_fresh_one():
+    stream = SequenceStream(MODELS["ternary_weighted"], 3, 1)
+    handed = [(0.999, 1000), (0.99, 700), (1.0 - 2.0 ** -20, 999), (0.5, 20)]
+    grown = MomentTable(stream, 1000, handed)
+    assert len(grown._kept) == len(handed)
+    eval_truncated(grown, 0.999, 70_000)
+    assert grown.n_terms == table_length(70_000) and not grown._kept
+    fresh = MomentTable(stream, 70_000)
+    for x, n in handed + [(0.999, 70_000), (1.0 - 2.0 ** -20, 65_537)]:
+        assert eval_truncated(grown, x, n) == eval_truncated(fresh, x, n)
+    assert len(grown._levels) == len(fresh._levels)
+    for stored, level in zip(grown._levels, fresh._levels):
+        assert np.array_equal(stored, level)
 
 
 @pytest.mark.parametrize("n", [1, _BASE - 1, _BASE, _BASE + 1, TABLE_TERMS, 70_000])

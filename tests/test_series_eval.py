@@ -46,6 +46,7 @@ from randseries.series_eval import (
     _base_moments,
     _byte_moments,
     _pair_moments,
+    _power_sum,
 )
 
 from .streams import PatternStream
@@ -347,11 +348,14 @@ class TestDeepestPointBudget:
 
     def test_crossings_reads_the_budget_once_then_once_an_evaluation(self, monkeypatch):
         calls = _counting(monkeypatch, series_eval, "required_terms")
+        handed = _counting(monkeypatch, crossings, "required_terms")
         evals = _counting(monkeypatch, crossings, "eval_to_eps")
         window = (1.0 - 1e-2, 1.0 - 1e-4)
         report = find_crossings(SequenceStream(M11, 1, 0), 0.0, window, 1e-3)
         assert len(evals) >= report.grid_size
         assert len(calls) == 1 + len(evals)
+        # besides, each grid point's truncation is derived once for the table's batch
+        assert [args[1] for args in handed] == crossings._detection_grid(*window)
 
     @pytest.mark.parametrize("run", ["scan", "crossings", "estimate"])
     def test_over_budget_error_names_the_deepest_point(self, run, monkeypatch):
@@ -429,23 +433,24 @@ M101 = parse_model("-1,0,1", "1/4,1/4,1/2")
 
 
 class TestMomentTableStore:
-    def test_byte_tables_give_the_exact_moments_of_64_bit_codes(self):
+    def test_byte_tables_give_the_exact_moments_of_128_bit_codes(self):
         # every byte-table sum is exact: the numerators of its summands add up
-        # to at most sum_p |2p - 63|^8, which binary64 holds exactly
-        assert sum(abs(2 * p - 63) ** 8 for p in range(64)) == 1_995_742_783_874_112 < 2 ** 53
-        assert _BASE == 64
+        # to at most sum_p |2p - 127|^7, which binary64 holds exactly (at
+        # order 8 they would not fit)
+        assert sum(abs(2 * p - 127) ** 7 for p in range(128)) == 9_002_069_296_504_832 < 2 ** 53
+        assert sum(abs(2 * p - 127) ** 8 for p in range(128)) > 2 ** 53
+        assert (_BASE, _ORDER) == (128, 7)
         tables = _byte_moments(_ORDER)
-        assert tables.shape == (8, 256, _ORDER + 1)
-        ones = (1 << 64) - 1
-        specials = [ones, 0x5555_5555_5555_5555, 0xAAAA_AAAA_AAAA_AAAA] + [1 << p for p in range(64)]
-        randoms = np.random.default_rng(64).integers(0, ones, 10_000, dtype=np.uint64,
-                                                    endpoint=True)
-        codes = np.concatenate([np.array(specials, dtype=np.uint64), randoms])
-        bits = (codes[:, None] >> np.arange(64, dtype=np.uint64)) & np.uint64(1)
-        m = 2 * np.arange(64, dtype=np.int64) - 63           # 64 u_p, odd, |m| <= 63
+        assert tables.shape == (16, 256, _ORDER + 1)
+        specials = [[255] * 16, [0x55] * 16, [0xAA] * 16] + [
+            [1 << (p % 8) if i == p // 8 else 0 for i in range(16)] for p in range(128)]
+        randoms = np.random.default_rng(128).integers(0, 256, (10_000, 16), endpoint=False)
+        codes = np.concatenate([np.array(specials), randoms]).astype(np.uint8)   # bytes c_0..c_15
+        bits = np.unpackbits(codes, axis=1, bitorder="little")                 # bit p of the code
+        m = 2 * np.arange(128, dtype=np.int64) - 127         # 128 u_p, odd, |m| <= 127
         numerators = bits.astype(np.int64) @ m[:, None] ** np.arange(_ORDER + 1)
-        exact = numerators / 64.0 ** np.arange(_ORDER + 1)  # a power-of-two division: exact
-        looked_up = sum(tables[i][(codes >> np.uint64(8 * i)) & np.uint64(255)] for i in range(8))
+        exact = numerators / 128.0 ** np.arange(_ORDER + 1)  # a power-of-two division: exact
+        looked_up = sum(tables[i][codes[:, i]] for i in range(16))
         assert np.array_equal(looked_up, exact)
 
     @pytest.mark.parametrize("columns", [1, 2, 3, 8191, 8192, 8193, 16385])
@@ -459,10 +464,19 @@ class TestMomentTableStore:
         PatchedStream(SequenceStream(M11, 5, 0), [1] * 40 + [0] * 9),
         SequenceStream(parse_model("-2,1,3/7"), 5, 2),
     ])
-    def test_stored_levels_equal_a_one_shot_pyramid_over_the_whole_base(self, stream):
+    def test_levels_are_built_on_first_read_as_a_one_shot_pyramid(self, stream):
         n = 12_291 * _BASE - 5                              # three _COLUMNS chunks and a bit
         table = MomentTable(stream, n)
         assert table.n_terms == 12_291 * _BASE
+        top = (12_291).bit_length() - 1
+        # a point no level serves, one with N < B and one on base blocks build nothing
+        for x, terms in ((0.9, 5000), (1.0 - 2.0 ** -30, _BASE - 1), (1.0 - 2.0 ** -10, n)):
+            eval_truncated(table, x, terms)
+        assert len(table._levels) == 1
+        eval_truncated(table, 1.0 - 2.0 ** -12, n)         # blocks of 4 * _BASE terms
+        assert len(table._levels) == 3
+        eval_truncated(table, 1.0 - 2.0 ** -40, n)         # capped at the top level
+        assert len(table._levels) == top + 1
         level = _base_moments(stream.model, stream.index_array(table.n_terms), _ORDER)
         assert level.shape == (_ORDER + 1, 12_291)
         assert np.array_equal(table._levels[0], level)
@@ -472,30 +486,103 @@ class TestMomentTableStore:
         assert level.shape[1] == 1
 
     @pytest.mark.parametrize("stream", [SequenceStream(M11, 5, 0), SequenceStream(M101, 5, 1)])
-    def test_integer_sets_keep_the_bits_of_16_term_blocks_paired_twice(self, stream):
-        # 16-term moments of integer coefficients are exact, and so are two
-        # pairings of them: the 64-term base has the same bits
+    def test_integer_sets_give_the_exact_base_moments(self, stream):
+        # the moments of integer coefficients have integer numerators over B^j,
+        # below 2^53 in size: the base level holds them bit for bit
         n = 4096 * _BASE
         values = np.array([int(v) for v in stream.model.values], dtype=np.int64)
-        a = values[stream.index_array(n)].reshape(-1, 16)
-        m = 2 * np.arange(16, dtype=np.int64) - 15          # 16 u_p, odd, |m| <= 15
+        a = values[stream.index_array(n)].reshape(-1, _BASE)
+        m = 2 * np.arange(_BASE, dtype=np.int64) - (_BASE - 1)   # B u_p, odd, |m| < B
         numerators = a @ m[:, None] ** np.arange(_ORDER + 1)
-        sixteen = np.ascontiguousarray((numerators / 16.0 ** np.arange(_ORDER + 1)).T)
-        paired = _one_shot_pair_moments(_one_shot_pair_moments(sixteen))
-        assert np.array_equal(_base_moments(stream.model, stream.index_array(n), _ORDER), paired)
+        assert np.abs(numerators).max() < 2 ** 53
+        exact = np.ascontiguousarray((numerators / float(_BASE) ** np.arange(_ORDER + 1)).T)
+        assert np.array_equal(_base_moments(stream.model, stream.index_array(n), _ORDER), exact)
+        assert np.array_equal(MomentTable(stream, n)._levels[0], exact)
 
-    def test_table_store_stays_below_four_and_a_half_bytes_a_term(self):
-        # 1 B of indices, 1.125 B of 64-term base moments and 1.125 B of the
-        # levels above them a term, with the base built and paired 4,096
-        # columns at a time; the store once peaked at 12.5-15 B a term, and at
-        # 6.4 B with 16-term blocks.  This bound may only get tighter.
+    def test_table_store_stays_below_three_and_a_half_bytes_a_term(self):
+        # 1 B of indices and 1 B set aside for the 128-term base level (0.5 B)
+        # and the levels above it a term, with the base built 4,096 columns at
+        # a time and every level paired; the store once peaked at 12.5-15 B a
+        # term, at 6.4 B with 16-term blocks and at 3.96 B with 64-term
+        # blocks.  This bound may only get tighter.
         n = 1 << 20
         stream = SequenceStream(M101, 3, 0)
         tracemalloc.start()
         try:
             table = MomentTable(stream, n)
+            eval_truncated(table, 1.0 - 2.0 ** -40, n)     # reads the top level
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert table.n_terms == n
-        assert peak < 4.5 * n
+        assert len(table._levels) == 14
+        assert peak < 3.5 * n
+
+
+def _bits(pairs) -> list[tuple[str, str]]:
+    """(value, slack) pairs as exact hex strings, so -0.0 and 0.0 differ."""
+    return [(value.hex(), slack.hex()) for value, slack in pairs]
+
+
+# x that no level serves, on base blocks, on upper levels, and past every level of a small table
+BATCH_XS = [0.3, 0.9, 0.995, 1.0 - 2.0 ** -10, 1.0 - 2.0 ** -14, 1.0 - 2.0 ** -40]
+
+
+class TestPowerSums:
+    """A batch of table points gives every point the bits it has alone."""
+
+    @given(model=st.sampled_from([M11, M101, parse_model("-2,1,3/7")]),
+           seed=st.integers(0, 2 ** 32 - 1), filled=st.integers(1, 4000),
+           points=st.lists(st.tuples(st.sampled_from(BATCH_XS)
+                                     | st.floats(0.9, 1.0, exclude_max=True),
+                                     st.integers(1, 6000) | st.integers(1, _BASE - 1)),
+                           min_size=1, max_size=12),
+           data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_each_point_of_a_batch_has_the_bits_it_has_alone(self, model, seed, filled, points,
+                                                              data):
+        points += data.draw(st.lists(st.sampled_from(points), max_size=4))     # duplicates
+        stream = SequenceStream(model, seed, 0)
+        table = MomentTable(stream, filled)
+        batch = table.power_sums(points)
+        # the top level caps a point's level, and its slack counts the level: compare
+        # with a table of the same length, which the largest N may have grown
+        alone = MomentTable(stream, table.n_terms)
+        assert _bits(batch) == _bits(alone.power_sums([point])[0] for point in points)
+
+    def test_a_batch_of_every_kind_of_point(self):
+        stream = SequenceStream(M101, 4, 0)
+        table = MomentTable(stream, 3000)
+        deep = 1.0 - 2.0 ** -40
+        points = [(0.9, 2000),                  # no level serves it: summed directly
+                  (deep, _BASE - 1),            # N < B: summed directly
+                  (1.0 - 2.0 ** -10, 2500),     # base blocks
+                  (deep, 3000),                 # past the top level: capped there
+                  (1.0 - 2.0 ** -10, 2500),     # a duplicate
+                  (1.0 - 2.0 ** -12, 9000)]     # past the table: it is rebuilt first
+        batch = table.power_sums(points)
+        assert table.n_terms == 71 * _BASE                  # 9,000 rounded up
+        top = (71).bit_length() - 1
+        assert [table._level(-math.log(x)) for x, _ in points] == [-1, top, 0, top, 0, 2]
+        assert batch[0] == _power_sum(stream.float_coefficients(2000), 0.9)
+        assert batch[1] == _power_sum(stream.float_coefficients(_BASE - 1), deep)
+        assert batch[2] == batch[4]
+        alone = MomentTable(stream, table.n_terms)
+        assert _bits(batch) == _bits(alone.power_sums([p])[0] for p in points)
+
+    def test_handed_points_are_kept_until_a_rebuild(self, monkeypatch):
+        stream = SequenceStream(M11, 4, 0)
+        points = [(1.0 - 2.0 ** -10, 2500), (0.9, 2000), (1.0 - 1e-3, 3000)]
+        table = MomentTable(stream, 3000, points)
+        expected = MomentTable(stream, 3000).power_sums(points)
+
+        def fail(batch):
+            raise AssertionError(f"evaluated again: {batch}")
+
+        monkeypatch.setattr(table, "power_sums", fail)
+        assert [table.power_sum(x, n) for x, n in points] == expected
+        with pytest.raises(AssertionError, match="evaluated again"):
+            table.power_sum(1.0 - 1e-3, 2999)
+        monkeypatch.undo()
+        table.power_sum(1.0 - 1e-3, 5000)                # rebuilds the table
+        assert table.n_terms == 40 * _BASE and not table._kept
