@@ -267,19 +267,20 @@ class MomentTable:
     the first time a point picks it (``_level``), into columns set aside
     for it in one array that holds the whole pyramid.
 
-    A point (x, N) uses the largest level with s B/2 <= tau for the full
-    blocks of its first N terms, then at most one block from each lower
-    level, and adds the last N mod 128 terms a_n x^n one by one.  A block
-    contributes x^c * sum_j m_j t^j / j! with t = -s B/2.  When no level
-    qualifies, or N < 128, every term is summed directly, bit for bit as
-    ``eval_truncated`` does on the stream.  ``power_sums`` evaluates many
-    points in one pass of array operations and adds each point's values in
-    an order of its own, so a point has the same bits in any batch.  The
-    table is filled to the requested length on construction, and the points
-    handed to it then are evaluated together and kept for ``power_sum``.
-    A point that needs more terms rebuilds the table from position 1 at
-    that length, so a grown table is a fresh one; a rebuild drops the kept
-    results.
+    A point (x, N) uses the largest level whose blocks fit in N and have
+    s B/2 <= tau for the full blocks of its first N terms, then at most one
+    block from each lower level, and adds the last N mod 128 terms a_n x^n
+    one by one.  A block contributes x^c * sum_j m_j t^j / j! with
+    t = -s B/2.  When no level qualifies (always when N < 128), every term
+    is summed directly, bit for bit as ``eval_truncated`` does on the
+    stream.  ``power_sums`` evaluates many points in one pass of array
+    operations and adds each point's values in an order of its own, so a
+    point's value and slack depend only on the stream, x and N: the same
+    bits in any table and any batch.  The table is filled to the requested
+    length on construction, and the points handed to it then are evaluated
+    together and kept for ``power_sum``.  A point that needs more terms
+    rebuilds the table from position 1 at that length, so a grown table is
+    a fresh one, and the kept results stay valid in it.
 
     The slack of a table evaluation is ``rounding_slack(N, A)`` plus
     ``_table_error * A``, with A = max|d| * sum x^n (closed form, inflated
@@ -332,16 +333,14 @@ class MomentTable:
             base[:, lo:lo + _COLUMNS] = _base_moments(
                 self.model, self._indices[lo * _BASE:(lo + _COLUMNS) * _BASE], _ORDER)
         self._levels = [base]       # the levels built so far: blocks of 128, 256, ... terms
-        self._kept = {}
 
-    def _level(self, s: float) -> int:
-        """The largest level whose blocks have s * B/2 <= tau, or -1 if none has.
+    def _level(self, s: float, n: int) -> int:
+        """The largest level whose blocks fit in n terms and have s * B/2 <= tau, or -1.
 
         A level is paired from the one below it the first time it is picked.
         """
-        top = len(self._starts) - 2
         level = -1
-        while level < top and s * (_BASE << (level + 1)) / 2 <= _TAU:
+        while _BASE << (level + 1) <= n and s * (_BASE << (level + 1)) / 2 <= _TAU:
             level += 1
         while len(self._levels) <= level:
             up = len(self._levels)
@@ -357,7 +356,7 @@ class MomentTable:
     def power_sums(self, points: Iterable[tuple[float, int]]) -> list[tuple[float, float]]:
         """``power_sum`` at each point (x, N), 0 < x < 1, in one pass over the table.
 
-        Points that no level serves, or with N < 128, are summed directly.
+        Points that no level serves are summed directly.
         The others are evaluated in groups of about _COLUMNS blocks, so the
         arrays of a group stay in cache.
         """
@@ -369,9 +368,9 @@ class MomentTable:
         group: list[tuple[int, float, int, int]] = []
         blocks = 0
         for i, (x, n) in enumerate(points):
-            level = self._level(-math.log(x)) if n >= _BASE else -1
+            level = self._level(-math.log(x), n)
             if level < 0:
-                out[i] = _power_sum(self._floats(0, n), x)
+                out[i] = _power_sum(self.model.floats[self._indices[:n]], x)
                 continue
             group.append((i, x, n, level))
             blocks += n // (_BASE << level) + level
@@ -434,10 +433,6 @@ class MomentTable:
             abs_bound = max_abs * x * -math.expm1(n * math.log(x)) / (1.0 - x) * _INFLATE
             out[i] = value, (rounding_slack(n, abs_bound)
                              + _table_error(_ORDER, level, k) * abs_bound)
-
-    def _floats(self, lo: int, hi: int) -> np.ndarray:
-        """Float mirrors of coefficients a_(lo+1)..a_hi."""
-        return self.model.floats[self._indices[lo:hi]]
 
 
 def eval_truncated(stream, x: float, n_terms: int) -> BoundedValue:

@@ -92,9 +92,10 @@ class TestFindCrossings:
     def test_max_brackets_truncates(self):
         stream = SequenceStream(M11, 12, 0)
         full = find_crossings(stream, 0.0, (0.9, 0.9999), eps=1e-3)
-        if len(full.brackets) >= 2:
-            cut = find_crossings(stream, 0.0, (0.9, 0.9999), eps=1e-3, max_brackets=1)
-            assert cut.truncated and len(cut.brackets) == 1
+        assert len(full.brackets) >= 2 and not full.truncated
+        cut = find_crossings(stream, 0.0, (0.9, 0.9999), eps=1e-3, max_brackets=1)
+        assert cut.truncated and len(cut.brackets) == 1
+        assert cut.brackets[0] == full.brackets[0]
 
     def test_depth_decade_labels(self):
         report = find_crossings(PatternStream(M01, [1]), 3.0, (0.5, 0.9), eps=1e-4)

@@ -217,7 +217,7 @@ def test_enclosure_at_crossings_points(name, path):
         assert Fraction(bv.value) - Fraction(bv.rounding_slack) <= lo, x
         assert hi <= Fraction(bv.value) + Fraction(bv.rounding_slack), x
     if path == "table":                                 # most points read table blocks
-        assert sum(source._level(-math.log(x)) >= 0 for x, *_ in points) > len(points) / 2
+        assert sum(source._level(-math.log(x), n) >= 0 for x, n, *_ in points) > len(points) / 2
 
 
 @lru_cache(maxsize=None)
@@ -241,7 +241,7 @@ def test_enclosure_at_every_crossings_grid_point_of_one_batch(name):
     assert len(table._kept) == len(points)
     for x, n, lo, hi in points:
         assert_enclosed(table, x, n, lo, hi)
-    assert sum(table._level(-math.log(x)) >= 0 for x, *_ in points) > len(points) / 2
+    assert sum(table._level(-math.log(x), n) >= 0 for x, n, *_ in points) > len(points) / 2
 
 
 def assert_enclosed(source, x, n, lo, hi):
@@ -285,7 +285,25 @@ def test_enclosure_at_scan_grid_points(name, path):
         assert x.as_integer_ratio()[0] % 2                # odd m: x is not dyadic
         assert_enclosed(source, x, n, lo, hi)
     if path == "table":                                 # the deep points read table blocks
-        assert any(source._level(-math.log(x)) >= 0 for x, *_ in points)
+        assert any(source._level(-math.log(x), n) >= 0 for x, n, *_ in points)
+
+
+@lru_cache(maxsize=None)
+def deepest_scan_point(name):
+    stream = SequenceStream(SCAN_GRID_MODELS[name], 7, 0)
+    return stream, oracle_points(stream, [max(ScanGrid(delta_min=1e-5).points())], EPS)[0]
+
+
+@pytest.mark.parametrize("path", ["table", "direct"])
+@pytest.mark.parametrize("name", sorted(SCAN_GRID_MODELS))
+def test_enclosure_at_the_deepest_depth_1e_5_scan_point(name, path):
+    # 1 - 1e-5 needs over 10^6 terms at eps 0.01: the longest sums the scan grid asks for
+    stream, (x, n, lo, hi) = deepest_scan_point(name)
+    assert x == 1.0 - 1e-5 and n > 1_400_000
+    source = MomentTable(stream, n) if path == "table" else stream
+    assert_enclosed(source, x, n, lo, hi)
+    if path == "table":
+        assert source._level(-math.log(x), n) >= 0
 
 
 def test_enclosure_of_a_patched_stream_at_non_dyadic_x():
@@ -328,15 +346,25 @@ def test_grown_table_equals_a_fresh_one():
             assert eval_truncated(grown, x, n) == eval_truncated(fresh, x, n)
 
 
-def test_grown_table_with_kept_results_equals_a_fresh_one():
+def test_grown_table_with_kept_results_equals_a_fresh_one(monkeypatch):
     stream = SequenceStream(MODELS["ternary_weighted"], 3, 1)
     handed = [(0.999, 1000), (0.99, 700), (1.0 - 2.0 ** -20, 999), (0.5, 20)]
     grown = MomentTable(stream, 1000, handed)
-    assert len(grown._kept) == len(handed)
+    kept = dict(grown._kept)
+    assert len(kept) == len(handed)
     eval_truncated(grown, 0.999, 70_000)
-    assert grown.n_terms == table_length(70_000) and not grown._kept
+    assert grown.n_terms == table_length(70_000) and grown._kept == kept
     fresh = MomentTable(stream, 70_000)
-    for x, n in handed + [(0.999, 70_000), (1.0 - 2.0 ** -20, 65_537)]:
+    assert [kept[point] for point in handed] == fresh.power_sums(handed)
+
+    def fail(batch):
+        raise AssertionError(f"evaluated again: {batch}")
+
+    with monkeypatch.context() as m:                # the kept pairs are read, not evaluated
+        m.setattr(grown, "power_sums", fail)
+        for x, n in handed:
+            assert eval_truncated(grown, x, n) == eval_truncated(fresh, x, n)
+    for x, n in [(0.999, 70_000), (1.0 - 2.0 ** -20, 65_537)]:
         assert eval_truncated(grown, x, n) == eval_truncated(fresh, x, n)
     assert len(grown._levels) == len(fresh._levels)
     for stored, level in zip(grown._levels, fresh._levels):
@@ -354,17 +382,19 @@ def test_table_error_constants():
     assert remainder <= 2.0 ** -40
 
 
-def test_each_point_uses_the_largest_level_with_s_b_over_2_within_tau():
-    n = 1 << 16
-    table = MomentTable(SequenceStream(MODELS["binary"], 7, 0), n)
-    top = (n // _BASE).bit_length() - 1         # n terms in one block of _BASE * 2^top
+@pytest.mark.parametrize("n", [1, _BASE - 1, _BASE, 3 * _BASE - 1, 5000, 1 << 16])
+def test_each_point_uses_the_largest_level_with_s_b_over_2_within_tau(n):
+    table = MomentTable(SequenceStream(MODELS["binary"], 7, 0), 1 << 16)
+    cap = (n // _BASE).bit_length() - 1         # the largest block inside n: _BASE * 2^cap
     for t in range(1, 30):
         for x in (1.0 - 2.0 ** -t, 1.0 - 1.5 * 2.0 ** -t):
             s = -math.log(x)
-            level = table._level(s)
+            level = table._level(s, n)
             half = (_BASE // 2) << max(level, 0)  # half the block length at that level
-            assert (s * half <= _TAU) if level >= 0 else (s * half > _TAU), x
-            assert level == top or s * 2 * half > _TAU, x
+            assert level <= cap, x
+            assert (s * half <= _TAU) if level >= 0 else (cap < 0 or s * half > _TAU), x
+            assert level == cap or s * 2 * half > _TAU, x
+        assert table._level(-math.log(1.0 - 2.0 ** -40), n) == cap
 
 
 @pytest.mark.parametrize("name", ["binary", "patched"])

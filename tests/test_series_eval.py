@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import randseries
 from randseries import (
@@ -526,29 +526,49 @@ def _bits(pairs) -> list[tuple[str, str]]:
 
 # x that no level serves, on base blocks, on upper levels, and past every level of a small table
 BATCH_XS = [0.3, 0.9, 0.995, 1.0 - 2.0 ** -10, 1.0 - 2.0 ** -14, 1.0 - 2.0 ** -40]
+BATCH_MODELS = [M11, M101, parse_model("-2,1,3/7")]
+BATCH_POINTS = st.tuples(st.sampled_from(BATCH_XS) | st.floats(0.9, 1.0, exclude_max=True),
+                         st.integers(1, 6000) | st.integers(1, _BASE - 1))
+
+
+def _alone(stream, points) -> list[tuple[float, float]]:
+    """Each point evaluated alone, in a table filled to its own N."""
+    return [MomentTable(stream, n).power_sums([(x, n)])[0] for x, n in points]
 
 
 class TestPowerSums:
-    """A batch of table points gives every point the bits it has alone."""
+    """A table point has the same bits in any table and any batch."""
 
-    @given(model=st.sampled_from([M11, M101, parse_model("-2,1,3/7")]),
-           seed=st.integers(0, 2 ** 32 - 1), filled=st.integers(1, 4000),
-           points=st.lists(st.tuples(st.sampled_from(BATCH_XS)
-                                     | st.floats(0.9, 1.0, exclude_max=True),
-                                     st.integers(1, 6000) | st.integers(1, _BASE - 1)),
-                           min_size=1, max_size=12),
+    @given(model=st.sampled_from(BATCH_MODELS), seed=st.integers(0, 2 ** 32 - 1),
+           filled=st.integers(1, 4000), points=st.lists(BATCH_POINTS, min_size=1, max_size=12),
            data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_each_point_of_a_batch_has_the_bits_it_has_alone(self, model, seed, filled, points,
                                                               data):
         points += data.draw(st.lists(st.sampled_from(points), max_size=4))     # duplicates
         stream = SequenceStream(model, seed, 0)
-        table = MomentTable(stream, filled)
-        batch = table.power_sums(points)
-        # the top level caps a point's level, and its slack counts the level: compare
-        # with a table of the same length, which the largest N may have grown
-        alone = MomentTable(stream, table.n_terms)
-        assert _bits(batch) == _bits(alone.power_sums([point])[0] for point in points)
+        batch = MomentTable(stream, filled).power_sums(points)
+        assert _bits(batch) == _bits(_alone(stream, points))
+
+    # N = 128 fits one base block whatever the table's length: a 256-term table
+    # gives the slack of a 128-term one, not that of its 2-block level
+    @example(model=M11, seed=0, points=[(1.0 - 2.0 ** -14, _BASE)], lengths=[_BASE, 2 * _BASE])
+    @given(model=st.sampled_from(BATCH_MODELS), seed=st.integers(0, 2 ** 32 - 1),
+           points=st.lists(BATCH_POINTS, min_size=1, max_size=6),
+           lengths=st.lists(st.integers(1, 9000), min_size=1, max_size=3))
+    @settings(max_examples=40, deadline=None)
+    def test_a_point_has_the_same_bits_in_every_table(self, model, seed, points, lengths):
+        stream = SequenceStream(model, seed, 0)
+        expected = _bits(_alone(stream, points))
+        for length in lengths:                          # filled to other lengths, or grown
+            assert _bits(MomentTable(stream, length).power_sums(points)) == expected
+        handed = MomentTable(stream, min(lengths), points)
+        assert _bits(handed.power_sum(x, n) for x, n in points) == expected
+        longest = max(lengths) + max(n for _, n in points)
+        handed.power_sum(0.5, longest)                  # rebuilds the table
+        assert handed.n_terms >= longest
+        assert _bits(handed._kept[point] for point in points) == expected
+        assert _bits(handed.power_sums(points)) == expected
 
     def test_a_batch_of_every_kind_of_point(self):
         stream = SequenceStream(M101, 4, 0)
@@ -557,20 +577,19 @@ class TestPowerSums:
         points = [(0.9, 2000),                  # no level serves it: summed directly
                   (deep, _BASE - 1),            # N < B: summed directly
                   (1.0 - 2.0 ** -10, 2500),     # base blocks
-                  (deep, 3000),                 # past the top level: capped there
+                  (deep, 3000),                 # capped at the largest block inside N
                   (1.0 - 2.0 ** -10, 2500),     # a duplicate
                   (1.0 - 2.0 ** -12, 9000)]     # past the table: it is rebuilt first
         batch = table.power_sums(points)
         assert table.n_terms == 71 * _BASE                  # 9,000 rounded up
-        top = (71).bit_length() - 1
-        assert [table._level(-math.log(x)) for x, _ in points] == [-1, top, 0, top, 0, 2]
+        cap = (3000 // _BASE).bit_length() - 1               # blocks of 16 * _BASE terms
+        assert [table._level(-math.log(x), n) for x, n in points] == [-1, -1, 0, cap, 0, 2]
         assert batch[0] == _power_sum(stream.float_coefficients(2000), 0.9)
         assert batch[1] == _power_sum(stream.float_coefficients(_BASE - 1), deep)
         assert batch[2] == batch[4]
-        alone = MomentTable(stream, table.n_terms)
-        assert _bits(batch) == _bits(alone.power_sums([p])[0] for p in points)
+        assert _bits(batch) == _bits(_alone(stream, points))
 
-    def test_handed_points_are_kept_until_a_rebuild(self, monkeypatch):
+    def test_handed_points_are_kept_through_a_rebuild(self, monkeypatch):
         stream = SequenceStream(M11, 4, 0)
         points = [(1.0 - 2.0 ** -10, 2500), (0.9, 2000), (1.0 - 1e-3, 3000)]
         table = MomentTable(stream, 3000, points)
@@ -585,4 +604,7 @@ class TestPowerSums:
             table.power_sum(1.0 - 1e-3, 2999)
         monkeypatch.undo()
         table.power_sum(1.0 - 1e-3, 5000)                # rebuilds the table
-        assert table.n_terms == 40 * _BASE and not table._kept
+        assert table.n_terms == 40 * _BASE
+        assert MomentTable(stream, 5000).power_sums(points) == expected
+        monkeypatch.setattr(table, "power_sums", fail)
+        assert [table.power_sum(x, n) for x, n in points] == expected
