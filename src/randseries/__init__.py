@@ -10,7 +10,6 @@ frequencies by Monte Carlo.
 __version__ = "0.1.0"
 
 from .boundary_scan import (
-    PropertyVerdict,
     ScanGrid,
     ScanReport,
     Verdict,

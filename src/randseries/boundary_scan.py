@@ -17,7 +17,6 @@ from .series_eval import check_term_budget, eval_to_eps
 __all__ = [
     "DEFAULT_EPS",
     "MAX_GRID_POINTS",
-    "PropertyVerdict",
     "ScanGrid",
     "ScanReport",
     "ScanRow",
@@ -95,12 +94,6 @@ class Verdict(enum.Enum):
 
 
 @dataclass(frozen=True)
-class PropertyVerdict:
-    kind: Verdict
-    threshold: float
-
-
-@dataclass(frozen=True)
 class ScanRow:
     m: int
     x: float
@@ -111,13 +104,11 @@ class ScanRow:
     upper: float
     running_sup_lower: float
     running_inf_upper: float
-    rounding_slack: float = 0.0
+    rounding_slack: float
 
 
 @dataclass(frozen=True)
 class ScanReport:
-    grid: ScanGrid
-    eps_label: str
     rows: tuple[ScanRow, ...]
 
     @property
@@ -135,7 +126,7 @@ def scan(stream, grid: ScanGrid = ScanGrid(), eps: float = DEFAULT_EPS) -> ScanR
     The term budget is checked at the deepest grid point, which bounds the
     others, before any evaluation; the float cache is filled once to it.
     """
-    label, eps = repr(eps), float(eps)
+    eps = float(eps)
     deltas = grid.deltas()
     n_max = check_term_budget(stream.model.max_abs_float, (1 - d for d in deltas), eps, "scan grid")
     stream.float_coefficients(n_max)
@@ -149,7 +140,7 @@ def scan(stream, grid: ScanGrid = ScanGrid(), eps: float = DEFAULT_EPS) -> ScanR
         inf_upper = min(inf_upper, bv.upper)
         rows.append(ScanRow(m, x, delta, bv.n_terms, bv.value,
                             bv.lower, bv.upper, sup_lower, inf_upper, bv.rounding_slack))
-    return ScanReport(grid, label, tuple(rows))
+    return ScanReport(tuple(rows))
 
 
 def check_threshold(threshold: float) -> float:
@@ -175,14 +166,14 @@ def _classify(rows: tuple[ScanRow, ...], threshold: float) -> Verdict:
     return Verdict.INCONCLUSIVE
 
 
-def verdict(report: ScanReport, threshold: float) -> PropertyVerdict:
+def verdict(report: ScanReport, threshold: float) -> Verdict:
     """Classify a finished scan against a positive threshold T.
 
     OscillationLike iff both +/-T were certified-crossed; PlusInfinityLike iff
     the certified sup exceeds T and every last-decade enclosure stays above T;
     MinusInfinityLike symmetrically; otherwise Inconclusive.
     """
-    return PropertyVerdict(_classify(report.rows, threshold), threshold)
+    return _classify(report.rows, threshold)
 
 
 def verdicts_by_depth(report: ScanReport, threshold: float) -> list[tuple[float, Verdict]]:

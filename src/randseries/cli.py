@@ -236,7 +236,7 @@ def _cmd_scan(merged: dict, model) -> tuple[str, Optional[str]]:
     doc = _csv_document(merged,
                         ["m", "x", "N_used", "value", "lower", "upper",
                          "running_sup_lower", "running_inf_upper"], rows)
-    return doc, f"verdict: {v.kind.value} (threshold {v.threshold})"
+    return doc, f"verdict: {v.value} (threshold {merged['threshold']})"
 
 
 def _cmd_estimate(merged: dict, model) -> tuple[str, Optional[str]]:

@@ -53,7 +53,7 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _mix64_inplace(z: np.ndarray, tmp: np.ndarray, last_step: bool = True) -> None:
+def _mix64_inplace(z: np.ndarray, tmp: np.ndarray, last_step: bool) -> None:
     """SplitMix64 finalizer over a uint64 array, in place; ``tmp`` is scratch of the same size.
 
     With ``last_step=False`` the final xor-shift is left out (see _LAST_STEP_GRID).

@@ -41,6 +41,9 @@ __all__ = [
     "verify_matching",
 ]
 
+_MAX_VIOLATIONS = 10        # violations a MatchingReport lists at most
+
+
 @dataclass(frozen=True)
 class PositionClass:
     """Decomposition of a word by where d_1/d_2 sit versus everything else.
@@ -219,14 +222,13 @@ class MatchingReport:
         }
 
 
-def verify_matching(model: CoefficientModel, n: int, *,
-                    max_violations: int = 10) -> MatchingReport:
+def verify_matching(model: CoefficientModel, n: int) -> MatchingReport:
     """Exhaustively check injectivity, the exact sum shift, inversion, and the
     weight-monotonicity of flips (probability multiplies by p2/p1 >= 1 when
     p2 >= p1), over all k^N words, one chunk of consecutive words at a time.
 
     Violations are listed in word order, then in the order of the four kinds,
-    and cut at ``max_violations``.
+    and cut at ``_MAX_VIOLATIONS``.
     """
     chunks = _word_chunks(model, n)
     k = model.k
@@ -272,11 +274,11 @@ def verify_matching(model: CoefficientModel, n: int, *,
         for kind, bad in zip(ok, (repeated, ~sum_ok, ~inv_ok, ~measure_ok)):
             rows = np.flatnonzero(bad)
             ok[kind] = ok[kind] and not len(rows)
-            flagged.extend((int(r), kind) for r in rows[:max_violations])
+            flagged.extend((int(r), kind) for r in rows[:_MAX_VIOLATIONS])
         flagged.sort(key=lambda v: v[0])
-        # chunks come in word order, so the first max_violations so far stay first
+        # chunks come in word order, so the first _MAX_VIOLATIONS so far stay first
         violations.extend((kind, tuple(int(i) for i in word[:, r]))
-                          for r, kind in flagged[:max_violations - len(violations)])
+                          for r, kind in flagged[:_MAX_VIOLATIONS - len(violations)])
 
     ratio = model.weights[1] / model.weights[0]
     return MatchingReport(

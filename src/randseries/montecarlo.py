@@ -46,11 +46,6 @@ HIST_RANGE = 100.0
 # Cap on samples per pool task: only a few outcomes are ever in flight.
 _MAX_CHUNK = 256
 
-_CALIBRATION_NOTE = (
-    "finite-scale verdict thresholds and depth grids are calibration choices, "
-    "not asymptotic constants; see README for the recorded pilot calibration"
-)
-
 
 def wilson_interval(successes: int, total: int) -> tuple[float, float]:
     """Wilson 95 % score interval for a binomial proportion."""
@@ -150,7 +145,9 @@ class EstimateReport:
     counts_by_depth: tuple[dict, ...]
     hist_sup: dict
     hist_inf: dict
-    calibration_note: str = _CALIBRATION_NOTE
+    calibration_note: ClassVar[str] = (
+        "finite-scale verdict thresholds and depth grids are calibration choices, "
+        "not asymptotic constants; see README for the recorded pilot calibration")
 
     # A budget overrun fails the whole run before any sample, so every sample
     # completes; the field stays so the data section's field set is stable.

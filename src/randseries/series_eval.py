@@ -214,8 +214,8 @@ def _base_moments(model, indices: np.ndarray, order: int) -> np.ndarray:
     return np.ascontiguousarray(out.T)
 
 
-def _pair_moments(child: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Moments of each pair of adjacent blocks about the pair's centre, into ``out`` if given.
+def _pair_moments(child: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Moments of each pair of adjacent blocks about the pair's centre, into ``out``.
 
     In units of the parent's half length a term's offset is (u - 1)/2 in the
     left child and (u + 1)/2 in the right one, so
@@ -223,8 +223,6 @@ def _pair_moments(child: np.ndarray, out: Optional[np.ndarray] = None) -> np.nda
     formed _COLUMNS at a time, so the rows of a chunk stay in cache.
     """
     pairs = child.shape[1] // 2
-    if out is None:
-        out = np.empty((child.shape[0], pairs))
     for lo in range(0, pairs, _COLUMNS):
         hi = min(lo + _COLUMNS, pairs)
         left, right = child[:, 2 * lo:2 * hi:2], child[:, 2 * lo + 1:2 * hi:2]

@@ -73,8 +73,7 @@ class TestScan:
         report = scan(PatternStream(M01, [1]), ScanGrid(delta_min=1e-3), eps=0.01)
         # x/(1-x) = 999 at the deepest point, minus tolerance
         assert report.running_sup_lower >= 990
-        v = verdict(report, 50.0)
-        assert v.kind is Verdict.PLUS_INFINITY_LIKE
+        assert verdict(report, 50.0) is Verdict.PLUS_INFINITY_LIKE
 
     def test_alternating_bounded(self):
         report = scan(PatternStream(M11, [1, 0]), ScanGrid(delta_min=1e-3), eps=0.01)
@@ -83,7 +82,7 @@ class TestScan:
             assert r.lower <= truth <= r.upper
             assert r.lower >= 0.0
             assert r.upper <= 0.5 + 2 * 0.01
-        assert verdict(report, 1.0).kind is Verdict.INCONCLUSIVE
+        assert verdict(report, 1.0) is Verdict.INCONCLUSIVE
 
     def test_single_point_running_extrema(self):
         report = scan(SequenceStream(M11, 3, 0), ScanGrid(0.5, 0.5, 0.5), eps=0.01)
@@ -142,35 +141,35 @@ def _fake_report(certified_values, deltas, slack=0.0):
     for m, (v, d) in enumerate(zip(certified_values, deltas)):
         lo, hi = v - slack, v + slack
         sup, inf = max(sup, lo), min(inf, hi)
-        rows.append(ScanRow(m, 1 - d, d, 10, v, lo, hi, sup, inf))
-    return ScanReport(ScanGrid(max(deltas), 0.5, min(deltas)), "fake", tuple(rows))
+        rows.append(ScanRow(m, 1 - d, d, 10, v, lo, hi, sup, inf, 0.0))
+    return ScanReport(tuple(rows))
 
 
 class TestVerdictRule:
     def test_oscillation_from_crossings(self):
         report = _fake_report([10.0, -10.0], [1e-2, 1e-3])
-        assert verdict(report, 5.0).kind is Verdict.OSCILLATION_LIKE
+        assert verdict(report, 5.0) is Verdict.OSCILLATION_LIKE
 
     def test_threshold_above_everything(self):
         report = _fake_report([10.0, -10.0], [1e-2, 1e-3])
-        assert verdict(report, 1000.0).kind is Verdict.INCONCLUSIVE
+        assert verdict(report, 1000.0) is Verdict.INCONCLUSIVE
 
     def test_plus_requires_last_decade_above(self):
         # last decade = deltas within 10x of the deepest: the -1 value sits there
         report = _fake_report([100.0, -1.0], [1e-1, 1e-3])
-        assert verdict(report, 5.0).kind is Verdict.INCONCLUSIVE
+        assert verdict(report, 5.0) is Verdict.INCONCLUSIVE
         # a shallow dip outside the last decade does not block the verdict
         report = _fake_report([-1.0, 100.0, 120.0], [1e-1, 1e-3, 5e-4])
-        assert verdict(report, 5.0).kind is Verdict.PLUS_INFINITY_LIKE
+        assert verdict(report, 5.0) is Verdict.PLUS_INFINITY_LIKE
 
     def test_minus_symmetric(self):
         report = _fake_report([-30.0, -40.0], [1e-2, 1e-3])
-        assert verdict(report, 5.0).kind is Verdict.MINUS_INFINITY_LIKE
+        assert verdict(report, 5.0) is Verdict.MINUS_INFINITY_LIKE
 
     def test_oscillation_wins_over_plus(self):
         # both certified crossings and a last decade above T: oscillation first
         report = _fake_report([-10.0, 20.0, 30.0], [1e-1, 1e-3, 5e-4])
-        assert verdict(report, 5.0).kind is Verdict.OSCILLATION_LIKE
+        assert verdict(report, 5.0) is Verdict.OSCILLATION_LIKE
 
     def test_threshold_must_be_positive(self):
         report = _fake_report([1.0], [1e-2])

@@ -32,6 +32,16 @@ class TestScanCommand:
         assert len(lines) > 3
         assert "verdict:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args,summary", [
+        (["--set", "1,2", "--depth", "1e-3", "--threshold", "5"],
+         "verdict: PlusInfinityLike (threshold 5.0)\n"),
+        (["--set", "-1,1", "--seed", "0", "--depth", "1e-3"],
+         "verdict: Inconclusive (threshold 10.0)\n"),
+    ])
+    def test_stderr_summary(self, capsys, args, summary):
+        assert run(["scan", *args]) == 0
+        assert capsys.readouterr().err == summary
+
     def test_rerun_byte_identical(self, tmp_path):
         out = tmp_path / "scan.csv"
         args = ["scan", "--set", "-1,1", "--seed", "9", "--depth", "1e-3",

@@ -244,11 +244,13 @@ class TestVerifyMatchingViolations:
 
     def test_word_order_then_kind_and_cut(self, monkeypatch):
         monkeypatch.setattr(combinatorics, "_flips", _flip_first_letter(combinatorics._flips))
-        full = verify_matching(M3, 4, max_violations=10 ** 6).violations
+        monkeypatch.setattr(combinatorics, "_MAX_VIOLATIONS", 10 ** 6)
+        full = verify_matching(M3, 4).violations
         assert len(full) > 5
         order = [(word, self.KINDS.index(kind)) for kind, word in full]
         assert order == sorted(order) and len(set(order)) == len(order)
-        assert verify_matching(M3, 4, max_violations=5).violations == full[:5]
+        monkeypatch.setattr(combinatorics, "_MAX_VIOLATIONS", 5)
+        assert verify_matching(M3, 4).violations == full[:5]
 
 
 SWEEP = [("-1,1", None), ("-1,1", "1/4,3/4"), ("1,-1", "2/3,1/3"),
@@ -273,11 +275,13 @@ class TestChunkBoundaries:
     @pytest.mark.parametrize("chunk", [1, 9])
     def test_violations_across_chunks(self, monkeypatch, chunk):
         monkeypatch.setattr(combinatorics, "_flips", _flip_first_letter(combinatorics._flips))
-        whole = verify_matching(M3, 4, max_violations=10 ** 6)
+        monkeypatch.setattr(combinatorics, "_MAX_VIOLATIONS", 10 ** 6)
+        whole = verify_matching(M3, 4)
         monkeypatch.setattr(combinatorics, "_BLOCK", chunk)
-        chunked = verify_matching(M3, 4, max_violations=10 ** 6)
+        chunked = verify_matching(M3, 4)
         assert chunked == whole
-        assert verify_matching(M3, 4, max_violations=5).violations == whole.violations[:5]
+        monkeypatch.setattr(combinatorics, "_MAX_VIOLATIONS", 5)
+        assert verify_matching(M3, 4).violations == whole.violations[:5]
         # (0,0,0,0) and (1,0,0,0) both map to (1,0,0,0); the later word, 27 words
         # and so at least three 9-word chunks on, carries the repeat
         assert ("injectivity", (1, 0, 0, 0)) in chunked.violations
