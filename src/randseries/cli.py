@@ -44,6 +44,9 @@ def _atomic_write(path: str, data: str) -> None:
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".randseries-")
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)   # mkstemp makes 0600; give the mode open() would
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(data)
         os.replace(tmp, path)

@@ -43,6 +43,12 @@ _STEPS.flags.writeable = False
 # The mixer's last step, z ^= z >> 31, changes only bits 0-32 of a draw, so a
 # threshold that is a multiple of 2^33 compares the same before and after it.
 _LAST_STEP_GRID = 1 << 33
+# The one size rule for coefficients, |d| <= D = 2^900.  On N < 2^56 terms and
+# k < 2^56 values it keeps every float the package forms below 2^1024: partial
+# sums below N*D, the Abel sum of partial sums below N^2*D (its slack below
+# 2^-50*N^3*D), the orbit closed form below k*D*2^53, and tail and table
+# bounds below D*2^53.  So no sum needs an overflow check of its own.
+_MAX_ABS = Fraction(2 ** 900)
 
 
 def _mix64(z: int) -> int:
@@ -109,12 +115,8 @@ class CoefficientModel:
             raise ConfigError("all weights must be positive")
         if sum(self.weights) != 1:
             raise ConfigError("weights must sum to 1 exactly")
-        for v in self.values:
-            try:
-                float(v)
-            except OverflowError:
-                raise ConfigError("coefficient value too large for a binary64 float "
-                                  "(above about 1.8e308)") from None
+        if self.max_abs > _MAX_ABS:
+            raise ConfigError("coefficient values must lie within +-2^900 (about 8.5e270)")
 
     @classmethod
     def create(

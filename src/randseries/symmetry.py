@@ -15,7 +15,7 @@ import numpy as np
 
 from .coefficients import FinitePrefix
 from .errors import ConfigError, PreconditionError
-from .series_eval import BoundedValue, _eval_polynomial, check_finite_sums
+from .series_eval import BoundedValue, _eval_polynomial
 
 __all__ = ["SignWitness", "apply_perm", "orbit_sum", "orbit_values", "sign_witness"]
 
@@ -35,8 +35,7 @@ def orbit_values(prefix: FinitePrefix, x) -> list:
 
     Exact rationals for Fraction x.  For float x the index array is read
     through the value table of each rotated alphabet (index i maps to the
-    value of (i + j) mod k) and summed by the float kernel of ``eval_prefix``,
-    after a check that k * max|d| * N, which bounds the orbit sum, is finite.
+    value of (i + j) mod k) and summed by the float kernel of ``eval_prefix``.
     """
     k = prefix.model.k
     if isinstance(x, Fraction):
@@ -47,9 +46,8 @@ def orbit_values(prefix: FinitePrefix, x) -> list:
             rotated = apply_perm(prefix, j)
             out.append(sum((a * x ** n for n, a in enumerate(rotated.values, 1)), Fraction(0)))
         return out
-    table, max_abs = prefix.model.floats, prefix.model.max_abs_float
-    check_finite_sums(k * max_abs, len(prefix))
-    return [_eval_polynomial(table[(np.arange(k) + j) % k][prefix.index_array], x, max_abs)
+    table = prefix.model.floats
+    return [_eval_polynomial(table[(np.arange(k) + j) % k][prefix.index_array], x)
             for j in range(k)]
 
 

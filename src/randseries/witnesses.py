@@ -19,13 +19,7 @@ import numpy as np
 
 from .coefficients import CoefficientModel, FinitePrefix
 from .errors import ConfigError, PreconditionError, WitnessImpossibleError
-from .series_eval import (
-    check_finite_sums,
-    check_terms,
-    required_terms,
-    rounding_slack,
-    tail_bound,
-)
+from .series_eval import check_terms, required_terms, rounding_slack, tail_bound
 
 __all__ = [
     "Cylinder",
@@ -76,7 +70,6 @@ def prefix_infimum(prefix: FinitePrefix, grid_size: int = DEFAULT_GRID_SIZE) -> 
     if g < 1:
         raise ConfigError(f"grid_size must be >= 1, got {g}")
     check_terms(len(prefix) * (g + 1), "prefix infimum cells (prefix length x grid points)")
-    check_finite_sums(prefix.model.max_abs_float, len(prefix))
     coeffs = prefix.floats
     xs = np.arange(g + 1, dtype=np.float64) / g
     vals = np.zeros_like(xs)
@@ -89,8 +82,6 @@ def prefix_infimum(prefix: FinitePrefix, grid_size: int = DEFAULT_GRID_SIZE) -> 
     lipschitz = float(sum((n + 1) * abs(c) for n, c in enumerate(coeffs.tolist())))
     eval_slack = rounding_slack(len(prefix), float(np.abs(coeffs).sum()))
     lower = _dn(estimate - _up(lipschitz / (2.0 * g)) - eval_slack)
-    if not math.isfinite(lower):
-        raise ConfigError(f"prefix infimum bound {lower!r} is not finite in binary64")
     return PrefixInfimum(prefix, estimate, lower, float(xs[i]), g)
 
 

@@ -293,6 +293,10 @@ class TestFailFast:
         (["crossings", "--set", "-1,1", "--eps", "0"], {}),
         (["scan", "--set", "-1,1", "--eps", "nan"], {}),
         (["scan", "--set", "-1,1", "--depth", "1e-2"], {"RANDSERIES_TERM_BUDGET": "abc"}),
+        (["scan", "--set", "-1,1", "--depth", "1e-2"], {"RANDSERIES_TERM_BUDGET": "0"}),
+        (["scan", "--set", "-1,1", "--depth", "1e-2"], {"RANDSERIES_TERM_BUDGET": "-5"}),
+        (["scan", "--set", "-1,1", "--depth", "1e-2"], {"RANDSERIES_TERM_BUDGET": "0.5"}),
+        (["scan", "--set", "-1,1", "--depth", "1e-2"], {"RANDSERIES_TERM_BUDGET": "1e400"}),
         (["bijection", "verify", "--set", "-1,1", "--n", "-1"], {}),
         (["bijection", "verify", "--set", "-1,1", "--n", "0"], {}),
         (["witness", "--set", "-1,1", "--prefix", "1", "--grid-size", "0"], {}),
@@ -301,6 +305,8 @@ class TestFailFast:
         (["witness", "--set", "-1,1", "--prefix", ","], {}),
         (["crossings", "--set", "-1,1", "--max-brackets", "0"], {}),
         (["crossings", "--set", "-1,1", "--max-brackets", "-3"], {}),
+        (["crossings", "--set", "-1,1", "--window", "1e-5:1e-2"], {}),
+        (["scan", "--set", "-1,1", "--config", "[1]"], {}),
         (["scan", "--set", "-1,1", "--config", '{"scan": {"seed": "abc"}}'], {}),
         (["scan", "--set", "-1,1", "--config", '{"scan": 5}'], {}),
         (["scan", "--set", "-1,1", "--config", '{"scan": {"dept": 1e-3}}'], {}),
@@ -463,6 +469,16 @@ class TestOneProcess:
 
 
 class TestAtomicWrites:
+    def test_files_follow_the_umask(self, tmp_path):
+        out, svg = tmp_path / "o.csv", tmp_path / "o.svg"
+        old = os.umask(0o022)
+        try:
+            assert run(["scan", "--set", "0,1", "--depth", "1e-2",
+                        "--out", str(out), "--svg", str(svg)]) == 0
+        finally:
+            os.umask(old)
+        assert [oct(p.stat().st_mode & 0o777) for p in (out, svg)] == ["0o644", "0o644"]
+
     def test_no_temp_residue(self, tmp_path):
         out = tmp_path / "scan.csv"
         assert run(["scan", "--set", "0,1", "--depth", "1e-2", "--out", str(out)]) == 0

@@ -43,12 +43,20 @@ class TestModelValidation:
             (["0", "1"], ["1/2", "1/3"]),       # sum != 1
             (["0", "1"], ["0", "1"]),           # positive weights
             (["0", "1"], ["1/2"]),              # one weight per value
-            (["1e400", "1"], None),             # float mirror overflows
+            (["1e400", "1"], None),             # |d| <= 2^900, about 8.5e270
+            ([str(2 ** 900 + 1), "1"], None),
+            (["1e300", "1"], None),
+            (["-1e300", "1"], None),
+            ([], None),                         # empty value list
         ],
     )
     def test_invalid_models_rejected(self, values, weights):
         with pytest.raises(ConfigError):
             CoefficientModel.create(values, weights)
+
+    def test_size_bound_is_inclusive(self):
+        m = model_of(str(2 ** 900), str(-2 ** 900))
+        assert m.max_abs == 2 ** 900 and m.max_abs_float == 2.0 ** 900
 
     def test_float_values_rejected(self):
         with pytest.raises(ConfigError):

@@ -54,6 +54,13 @@ class TestShiftUp:
         q = shift_up(M11, p)
         assert q.indices == (1, 0, 0)
 
+    def test_value_words_round_trip(self):
+        # exact values in, exact values out, in both directions
+        for word in product(M3.values, repeat=4):
+            up, down = shift_up(M3, word), shift_down(M3, word)
+            assert up is None or shift_down(M3, up) == word
+            assert down is None or shift_up(M3, down) == word
+
     def test_other_values_untouched(self):
         d1, _d2, = M3.values[0], M3.values[1]
         word = (Fraction(1), Fraction(-1), Fraction(1), Fraction(-1))

@@ -16,6 +16,7 @@ from randseries import (
     BudgetExceededError,
     ConfigError,
     ExperimentConfig,
+    FinitePrefix,
     PatchedStream,
     ScanGrid,
     SequenceStream,
@@ -30,14 +31,19 @@ from randseries import (
     find_crossings,
     lower_bound_from_positive_walk,
     orbit_sum,
+    orbit_values,
     parse_model,
     partial_sums,
+    prefix_infimum,
     required_terms,
     scan,
     series_eval,
+    shift_up,
     tail_bound,
+    walk_positivity,
     witness_nonzero_coordinate,
     witness_positive,
+    zero_one_diagnostic,
 )
 from randseries.series_eval import (
     _BASE,
@@ -79,19 +85,6 @@ class TestEvalTruncated:
             eval_truncated(ALL_ONES, 1.0, 5)
         with pytest.raises(ValueError):
             eval_truncated(ALL_ONES, -0.1, 5)
-
-    def test_overflowing_partial_sums_rejected_before_summing(self):
-        # max|d| * N bounds every partial sum; 2e308 overflows binary64
-        huge = parse_model("1e308,-1e308")
-        stream = SequenceStream(huge, 0, 0)
-        with np.errstate(all="raise"):
-            assert np.isfinite(eval_truncated(stream, 0.5, 1).value)
-            with pytest.raises(ConfigError):
-                eval_truncated(stream, 0.5, 2)
-            with pytest.raises(ConfigError):
-                eval_prefix(stream.prefix(2), 0.5)
-            with pytest.raises(ConfigError):
-                eval_to_eps(stream, 0.99, 1e-2)
 
     def test_long_sum_matches_closed_form(self):
         # 1e6 terms of the all-ones series, against x(1-x^N)/(1-x)
@@ -219,13 +212,6 @@ class TestAbelForm:
                 abel = eval_abel_form(p, x)
                 assert abs(abel - direct) <= 1e-10 * (1 + abs(direct))
 
-    def test_overflowing_partial_sums_rejected(self):
-        huge = parse_model("5e307,-5e307")        # max|d| * N^2 = 2e308 at N = 2
-        p = SequenceStream(huge, 0, 0).prefix(2)
-        with np.errstate(all="raise"), pytest.raises(ConfigError):
-            eval_abel_form(p, 0.5)
-        assert np.isfinite(eval_abel_form(SequenceStream(huge, 0, 0).prefix(1), 0.5))
-
     def test_partial_sums_telescope(self):
         p = SequenceStream(M11, 42, 0).prefix(30)
         s = partial_sums(p)
@@ -263,6 +249,8 @@ class TestPositiveWalkBound:
 
 
 _PREFIX = PatternStream(M01, [1]).prefix(3)
+# cumulative weights 2^-70 and 2^-69 fall in one cell of the 64-bit sampling grid
+_FINE = parse_model("0,1,2", f"1/{2 ** 70},1/{2 ** 70},{2 ** 69 - 1}/{2 ** 69}")
 
 
 @pytest.mark.parametrize("call", [
@@ -277,11 +265,49 @@ _PREFIX = PatternStream(M01, [1]).prefix(3)
     lambda: witness_positive(_PREFIX, math.inf),
     lambda: witness_positive(_PREFIX, -math.inf),
     lambda: witness_positive(_PREFIX, math.nan),
+    lambda: parse_model(","),
+    lambda: SequenceStream(_FINE, 0).prefix(1),
+    lambda: parse_model("1,1.00000000000000000001").index_of(1),
+    lambda: FinitePrefix(M01, [2]),
+    lambda: SequenceStream(M01, 0).prefix(0),
+    lambda: PatchedStream(SequenceStream(M01, 0), [2]),
+    lambda: shift_up(M11, _PREFIX),
+    lambda: walk_positivity(ExperimentConfig(M01, 1, 0), -1),
+    lambda: walk_positivity(ExperimentConfig(parse_model(f"1,{2 ** 62}"), 1, 0), 0, 2),
+    lambda: zero_one_diagnostic(ExperimentConfig(M11, 1, 0), [0.5, 1e-3], [1.0]),
 ], ids=["n_terms", "abel_x", "walk_x", "no_depths", "depth_order", "witness_m", "rotation",
-        "orbit_exact_x", "witness_inf", "witness_minus_inf", "witness_nan"])
+        "orbit_exact_x", "witness_inf", "witness_minus_inf", "witness_nan", "empty_set_spec",
+        "weights_finer_than_draws", "colliding_float_mirrors",
+        "prefix_index", "prefix_length", "head_index", "shift_other_model", "walk_m",
+        "walk_int64", "depth_above_grid_start"])
 def test_bad_library_arguments_raise_config_error(call):
     with pytest.raises(ConfigError):
         call()
+
+
+@pytest.mark.parametrize("spec", [f"{2 ** 900},{-2 ** 900}", f"{2 ** 900},{2 ** 899},{-2 ** 900}"],
+                         ids=["two_values", "three_values"])
+def test_every_path_stays_finite_at_the_size_bound(spec):
+    # |d| <= 2^900 is the one size rule: no sum needs an overflow check of its
+    # own, for a run of the largest value as for a random sequence
+    model = parse_model(spec)
+    top = model.values.index(model.max_value)
+    x, n = 1.0 - 2.0 ** -40, 2_000_000
+    for stream in (PatternStream(model, [top]), SequenceStream(model, 0)):
+        with np.errstate(over="raise", invalid="raise"):
+            prefix = stream.prefix(200_000)
+            bounds = [eval_truncated(stream, x, n), eval_truncated(MomentTable(stream, n), x, n),
+                      eval_to_eps(stream, 0.999, 1e-2), eval_prefix(prefix, 0.999),
+                      *orbit_values(prefix, 0.999)]
+            floats = [f for bv in bounds for f in (bv.lower, bv.upper)]
+            floats += [f for row in scan(stream, ScanGrid(delta_min=1e-3), 1e-2).rows
+                       for f in (row.lower, row.upper)]
+            floats += [eval_abel_form(prefix, 0.999), orbit_sum(prefix, 0.999),
+                       prefix_infimum(stream.prefix(2000), 1024).lower_bound,
+                       witness_positive(stream.prefix(20), 2.0 ** 900, grid_size=1024).margin]
+            report = find_crossings(stream, 0.0, (0.9, 0.999), 1e-2)
+        assert all(map(math.isfinite, floats))
+        assert len(report.indeterminate_points) < report.grid_size
 
 
 def _budget_error_sites() -> set[tuple[str, str]]:

@@ -6,7 +6,6 @@ import pytest
 
 from randseries import (
     BudgetExceededError,
-    ConfigError,
     FinitePrefix,
     PatchedStream,
     SequenceStream,
@@ -83,14 +82,6 @@ class TestPrefixInfimum:
         with pytest.raises(BudgetExceededError) as info:
             prefix_infimum(prefix, grid_size=1000)
         assert info.value.required == 100 * 1001
-
-    def test_overflowing_prefix_rejected(self):
-        huge = parse_model("1e306,-1e306")
-        with pytest.raises(ConfigError):        # max|d| * N = 2e308
-            prefix_infimum(prefix_of(parse_model("1e308,-1e308"), ["1e308", "1e308"]))
-        with pytest.raises(ConfigError):        # max|d| * N finite, Lipschitz bound 1.9e308
-            prefix_infimum(prefix_of(huge, ["1e306"] * 19))
-        assert np.isfinite(prefix_infimum(prefix_of(huge, ["1e306"] * 2)).lower_bound)
 
 
 class TestWitnessPositive:
