@@ -282,17 +282,17 @@ def zero_one_diagnostic(config: ExperimentConfig, depths: Sequence[float],
     thresholds = tuple(check_threshold(t) for t in thresholds)
     if not (depths and thresholds):
         raise ConfigError("need at least one depth and one threshold")
+    if depths[0] > config.grid.delta_start:
+        raise ConfigError(f"depth {depths[0]} is shallower than the grid start")
     grid = config.grid.deepened(min(depths))
     grid_deltas = grid.deltas()
     predicted = _PREDICTED[config.model.mean_sign()]
 
-    # map each requested depth to the deepest grid row not exceeding it
+    # map each requested depth to the deepest grid row not exceeding it: the
+    # first row is delta_start, or delta_min within _REL_FUZZ of it
     row_for_depth = {}
     for d in depths:
-        rows = [i for i, g in enumerate(grid_deltas) if g >= d * (1.0 - _REL_FUZZ)]
-        if not rows:
-            raise ConfigError(f"depth {d} is shallower than the grid start")
-        row_for_depth[d] = rows[-1]
+        row_for_depth[d] = [i for i, g in enumerate(grid_deltas) if g >= d * (1.0 - _REL_FUZZ)][-1]
 
     tally, _sup, _inf = _fold_samples(config, grid, thresholds)
     total = config.num_samples

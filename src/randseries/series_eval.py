@@ -61,6 +61,7 @@ _ORDER = 7
 _TAU = 0.1
 _BASE = 128                 # terms per base block: one 128-bit code per value indicator
 _COLUMNS = 4096             # blocks per pass of the table build, so a pass stays in cache
+_DRAW = 1 << 14             # terms per draw of the table build, whose buffers take 17 B a term
 _POW_ULPS = 16              # allowance for one np.power (glibc and SIMD pow: a few ulps)
 
 
@@ -178,19 +179,20 @@ def _byte_moments(order: int) -> np.ndarray:
     return tables
 
 
-def _base_moments(model, indices: np.ndarray, order: int) -> np.ndarray:
-    """Moments m_j = sum a_i u_i^j of the 128-term blocks of ``indices``, one column each.
+def _base_moments(model, planes: np.ndarray, order: int) -> np.ndarray:
+    """Moments m_j = sum a_i u_i^j of the 128-term blocks coded by ``planes``, one column each.
 
-    With a_i = d_0 + sum_{v >= 1} (d_v - d_0) [index_i = v], a block's
-    moments are the exact moments of one 128-bit code per value indicator
-    v >= 1, looked up byte by byte, plus d_0 times the moments of the full
-    code.
+    Row v - 1 of ``planes`` is the little-endian bit plane of value v >= 1,
+    sixteen bytes a block.  With a_i = d_0 + sum_{v >= 1} (d_v - d_0)
+    [index_i = v], a block's moments are the exact moments of its 128-bit
+    code in each plane, looked up byte by byte, plus d_0 times the moments
+    of the full code.
     """
     tables = _byte_moments(order)
     d = model.floats
     out = None
-    for v in range(1, model.k):
-        code = np.packbits(indices == v, bitorder="little").reshape(-1, _BASE // 8)
+    for v, plane in enumerate(planes, start=1):
+        code = plane.reshape(-1, _BASE // 8)
         part = np.take(tables[0], code[:, 0], axis=0)
         for i in range(1, _BASE // 8):
             part += np.take(tables[i], code[:, i], axis=0)
@@ -200,7 +202,15 @@ def _base_moments(model, indices: np.ndarray, order: int) -> np.ndarray:
         else:
             out += part
     out += d[0] * tables[:, -1].sum(axis=0)
-    return np.ascontiguousarray(out.T)
+    return out.T
+
+
+def _plane_indices(bits: np.ndarray) -> np.ndarray:
+    """Value indices sum_v v [bit v] of terms whose bits in planes 1..k-1 are rows of ``bits``."""
+    out = np.zeros(bits.shape[1], dtype=np.min_scalar_type(bits.shape[0]))
+    for v, row in enumerate(bits, start=1):
+        out += row * out.dtype.type(v)
+    return out
 
 
 def _pair_moments(child: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -215,13 +225,16 @@ def _pair_moments(child: np.ndarray, out: np.ndarray) -> np.ndarray:
     for lo in range(0, pairs, _COLUMNS):
         hi = min(lo + _COLUMNS, pairs)
         left, right = child[:, 2 * lo:2 * hi:2], child[:, 2 * lo + 1:2 * hi:2]
-        both, diff = left + right, right - left
+        # row by row: numpy copies a 2-D pass over strided pyramid columns into a temporary
+        both = [l + r for l, r in zip(left, right)]
+        diff = [r - l for l, r in zip(left, right)]
         for j in range(child.shape[0]):
             acc = out[j, lo:hi]
             acc[:] = both[j]
             for l in range(j - 1, -1, -1):
                 acc += math.comb(j, l) * (both[l] if (j - l) % 2 == 0 else diff[l])
             acc *= 0.5 ** j
+        del both, diff                      # before the next chunk's are formed
     return out
 
 
@@ -250,9 +263,12 @@ class MomentTable:
     indicator, in 256-row tables of exact moments of each byte of the
     block's 128-bit code (``_byte_moments``), and each parent level comes
     from its two children (``_pair_moments``).  The table stores the
-    indices and the base level; a level above is paired from the one below
-    the first time a point picks it (``_level``), into columns set aside
-    for it in one array that holds the whole pyramid.
+    stream as k - 1 bit planes, one bit a term each, and the base level.
+    Plane v sets the bit of each term that takes value v; the build draws
+    and packs _DRAW terms at a time, so no byte a term is ever held whole.
+    A level above is paired from the one below the first time a point
+    picks it (``_level``), into columns set aside for it in one array that
+    holds the whole pyramid.
 
     A point (x, N) uses the largest level whose blocks fit in N and have
     s B/2 <= tau for the full blocks of its first N terms, then at most one
@@ -260,7 +276,8 @@ class MomentTable:
     one by one.  A block contributes x^c * sum_j m_j t^j / j! with
     t = -s B/2.  When no level qualifies (always when N < 128), every term
     is summed directly, bit for bit as ``eval_truncated`` does on the
-    stream.  ``power_sums`` evaluates many points in one pass of array
+    stream.  Directly summed and leftover terms take their values from
+    the planes.  ``power_sums`` evaluates many points in one pass of array
     operations and adds each point's values in an order of its own, so a
     point's value and slack depend only on the stream, x and N: the same
     bits in any table and any batch.  The table is filled to the requested
@@ -297,6 +314,8 @@ class MomentTable:
     """
 
     def __init__(self, stream, n_terms: int, points: Iterable[tuple[float, int]] = ()):
+        if n_terms < 1:
+            raise ConfigError("n_terms must be >= 1")
         self.model = stream.model
         self._stream = stream
         self._build(n_terms)
@@ -306,19 +325,24 @@ class MomentTable:
     @property
     def n_terms(self) -> int:
         """Terms the table holds: a multiple of 128."""
-        return self._indices.shape[0]
+        return self._planes.shape[1] * 8
 
     def _build(self, n_terms: int) -> None:
         """Fill the table from position 1 to n_terms rounded up to a multiple of 128."""
         n = -(-n_terms // _BASE) * _BASE
-        self._indices = self._stream.index_array(n)
+        self._planes = np.empty((self.model.k - 1, n // 8), dtype=np.uint8)
+        for lo in range(0, n, _DRAW):
+            indices = self._stream.index_range(lo + 1, min(lo + _DRAW, n) + 1)
+            for v, plane in enumerate(self._planes, start=1):
+                plane[lo // 8:(lo + indices.shape[0]) // 8] = np.packbits(
+                    indices == v, bitorder="little")
         widths = [n // _BASE >> level for level in range((n // _BASE).bit_length())]
         self._starts = [0, *accumulate(widths)]     # level L in columns starts[L]..starts[L+1]
         self._pyramid = np.empty((_ORDER + 1, self._starts[-1]))
         base = self._pyramid[:, :widths[0]]
         for lo in range(0, widths[0], _COLUMNS):
             base[:, lo:lo + _COLUMNS] = _base_moments(
-                self.model, self._indices[lo * _BASE:(lo + _COLUMNS) * _BASE], _ORDER)
+                self.model, self._planes[:, lo * _BASE // 8:(lo + _COLUMNS) * _BASE // 8], _ORDER)
         self._levels = [base]       # the levels built so far: blocks of 128, 256, ... terms
 
     def _level(self, s: float, n: int) -> int:
@@ -343,7 +367,8 @@ class MomentTable:
     def power_sums(self, points: Iterable[tuple[float, int]]) -> list[tuple[float, float]]:
         """``power_sum`` at each point (x, N), 0 < x < 1, in one pass over the table.
 
-        Points that no level serves are summed directly.
+        Points that no level serves are summed directly, from the longest
+        prefix they need, unpacked from the planes once.
         The others are evaluated in groups of about _COLUMNS blocks, so the
         arrays of a group stay in cache.
         """
@@ -351,13 +376,17 @@ class MomentTable:
         n_max = max((n for _, n in points), default=0)
         if n_max > self.n_terms:
             self._build(n_max)
+        levels = [self._level(-math.log(x), n) for x, n in points]
+        n_direct = max((n for (_, n), level in zip(points, levels) if level < 0), default=0)
+        bits = np.unpackbits(self._planes[:, :(n_direct + 7) // 8], axis=1, count=n_direct,
+                             bitorder="little")
+        direct = self.model.floats[_plane_indices(bits)]
         out: list = [None] * len(points)
         group: list[tuple[int, float, int, int]] = []
         blocks = 0
-        for i, (x, n) in enumerate(points):
-            level = self._level(-math.log(x), n)
+        for i, ((x, n), level) in enumerate(zip(points, levels)):
             if level < 0:
-                out[i] = _power_sum(self.model.floats[self._indices[:n]], x)
+                out[i] = _power_sum(direct[:n], x)
                 continue
             group.append((i, x, n, level))
             blocks += n // (_BASE << level) + level
@@ -373,10 +402,10 @@ class MomentTable:
 
         A point's entries are its q full blocks of its level, at most one
         block of each lower level, and its leftover terms, which ride along
-        as blocks of one term centred at n.  One gather reads every block's
-        moments, one series pass and one ``np.power`` weight all entries,
-        and ``np.bincount`` adds each point's entries one by one in that
-        order, whatever the other points of the group are.
+        as blocks of one term centred at n.  One series pass reads the
+        blocks' moments a row at a time, one ``np.power`` weights all
+        entries, and ``np.bincount`` adds each point's entries one by one
+        in that order, whatever the other points of the group are.
         """
         q, low, rest = [], [], []
         for p, (_, x, n, level) in enumerate(group):
@@ -397,20 +426,21 @@ class MomentTable:
         cols = np.concatenate([np.array(self._starts)[levels][top_point] + offset, low_col])
         first = np.concatenate([offset * top_size, low_first])
         half = np.concatenate([top_size, low_size]) / 2
-        # row j of the series: m_j * t^j / j!, with t^j / j! the product of t/1 .. t/j
-        moments = np.take(self._pyramid, cols, axis=1)
+        # the series m_0 + sum_j m_j t^j / j!, with t^j / j! the product of
+        # t/1 .. t/j, added one moment row at a time
         logs = np.array([math.log(x) for _, x, _, _ in group])
-        series = np.divide(logs[point] * half, np.arange(1.0, _ORDER + 1)[:, None])
-        np.cumprod(series, axis=0, out=series)
-        series *= moments[1:]
-        values = moments[0].copy()
-        for row in series:
-            values += row
+        t = logs[point] * half
+        values = self._pyramid[0, cols]
+        power = np.ones_like(t)
+        for j in range(1, _ORDER + 1):
+            power *= t / j
+            values += power * self._pyramid[j, cols]
         # a block of B terms starting after term e is centred at e + B/2 + 1/2
         pos, count = np.array(rest).T
         rest_point, rest_offset = _runs(count)
         terms = rest_offset + pos[rest_point]
-        values = np.concatenate([values, self.model.floats[self._indices[terms]]])
+        bits = (self._planes[:, terms >> 3] >> (terms & 7).astype(np.uint8)) & 1
+        values = np.concatenate([values, self.model.floats[_plane_indices(bits)]])
         centres = np.concatenate([first + half + 0.5, terms + 1.0])
         point = np.concatenate([point, rest_point])
         values *= np.power(np.array([x for _, x, _, _ in group])[point], centres)

@@ -287,5 +287,5 @@ class TestZeroOneDiagnostic:
 
     def test_depth_shallower_than_grid_rejected(self):
         config = ExperimentConfig(M01, 10, 3, grid=SMALL_GRID)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="shallower than the grid start"):
             zero_one_diagnostic(config, depths=[0.5], thresholds=[5.0])

@@ -275,11 +275,12 @@ _FINE = parse_model("0,1,2", f"1/{2 ** 70},1/{2 ** 70},{2 ** 69 - 1}/{2 ** 69}")
     lambda: walk_positivity(ExperimentConfig(M01, 1, 0), -1),
     lambda: walk_positivity(ExperimentConfig(parse_model(f"1,{2 ** 62}"), 1, 0), 0, 2),
     lambda: zero_one_diagnostic(ExperimentConfig(M11, 1, 0), [0.5, 1e-3], [1.0]),
+    lambda: MomentTable(SequenceStream(M01, 0), 0),
 ], ids=["n_terms", "abel_x", "walk_x", "no_depths", "depth_order", "witness_m", "rotation",
         "orbit_exact_x", "witness_inf", "witness_minus_inf", "witness_nan", "empty_set_spec",
         "weights_finer_than_draws", "colliding_float_mirrors",
         "prefix_index", "prefix_length", "head_index", "shift_other_model", "walk_m",
-        "walk_int64", "depth_above_grid_start"])
+        "walk_int64", "depth_above_grid_start", "table_terms"])
 def test_bad_library_arguments_raise_config_error(call):
     with pytest.raises(ConfigError):
         call()
@@ -458,6 +459,13 @@ def _one_shot_pair_moments(child):
 M101 = parse_model("-1,0,1", "1/4,1/4,1/2")
 
 
+def _planes(stream, n):
+    """Bit planes of terms 1..n: row v - 1 is the little-endian packbits of [index = v]."""
+    indices = stream.index_array(n)
+    return np.stack([np.packbits(indices == v, bitorder="little")
+                     for v in range(1, stream.model.k)])
+
+
 class TestMomentTableStore:
     def test_byte_tables_give_the_exact_moments_of_128_bit_codes(self):
         # every byte-table sum is exact: the numerators of its summands add up
@@ -505,7 +513,9 @@ class TestMomentTableStore:
         assert len(table._levels) == 3
         eval_truncated(table, 1.0 - 2.0 ** -40, n)         # capped at the top level
         assert len(table._levels) == top + 1
-        level = _base_moments(stream.model, stream.index_array(table.n_terms), _ORDER)
+        planes = _planes(stream, table.n_terms)
+        assert np.array_equal(table._planes, planes)
+        level = _base_moments(stream.model, planes, _ORDER)
         assert level.shape == (_ORDER + 1, 12_291)
         assert np.array_equal(table._levels[0], level)
         for stored in table._levels[1:]:
@@ -524,27 +534,32 @@ class TestMomentTableStore:
         numerators = a @ m[:, None] ** np.arange(_ORDER + 1)
         assert np.abs(numerators).max() < 2 ** 53
         exact = np.ascontiguousarray((numerators / float(_BASE) ** np.arange(_ORDER + 1)).T)
-        assert np.array_equal(_base_moments(stream.model, stream.index_array(n), _ORDER), exact)
+        assert np.array_equal(_base_moments(stream.model, _planes(stream, n), _ORDER), exact)
         assert np.array_equal(MomentTable(stream, n)._levels[0], exact)
 
-    def test_table_store_stays_below_three_and_a_half_bytes_a_term(self):
-        # 1 B of indices and 1 B set aside for the 128-term base level (0.5 B)
-        # and the levels above it a term, with the base built 4,096 columns at
-        # a time and every level paired; the store once peaked at 12.5-15 B a
-        # term, at 6.4 B with 16-term blocks and at 3.96 B with 64-term
-        # blocks.  This bound may only get tighter.
+    def test_table_store_stays_below_one_point_six_bytes_a_term(self):
+        # 1/8 B a term for each of the two value planes and 1 B set aside for
+        # the 128-term base level (0.5 B) and the levels above it; no byte a
+        # term is held, since the stream is drawn and packed 16,384 terms at
+        # a time.  The store once took 12.5-15 B a term at its peak, 6.4 B
+        # with 16-term blocks, 3.96 B with 64-term blocks and 2.0 B (2.9 B
+        # at its peak) with a byte of indices a term.  The peak adds the
+        # 4,096-column passes of the base build and of the pairing.  These
+        # bounds may only get tighter.
         n = 1 << 20
         stream = SequenceStream(M101, 3, 0)
+        _byte_moments(_ORDER)                               # shared by every table
         tracemalloc.start()
         try:
             table = MomentTable(stream, n)
             eval_truncated(table, 1.0 - 2.0 ** -40, n)     # reads the top level
-            _, peak = tracemalloc.get_traced_memory()
+            kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert table.n_terms == n
         assert len(table._levels) == 14
-        assert peak < 3.5 * n
+        assert kept < 1.6 * n
+        assert peak < 2.5 * n
 
 
 def _bits(pairs) -> list[tuple[str, str]]:
@@ -554,7 +569,9 @@ def _bits(pairs) -> list[tuple[str, str]]:
 
 # x that no level serves, on base blocks, on upper levels, and past every level of a small table
 BATCH_XS = [0.3, 0.9, 0.995, 1.0 - 2.0 ** -10, 1.0 - 2.0 ** -14, 1.0 - 2.0 ** -40]
-BATCH_MODELS = [M11, M101, parse_model("-2,1,3/7")]
+# the last set decodes its leftover and directly summed terms from four value planes
+BATCH_MODELS = [M11, M101, parse_model("-2,1,3/7"),
+                parse_model("-2,-1,0,1,2", "1/8,1/2,1/16,1/4,1/16")]
 BATCH_POINTS = st.tuples(st.sampled_from(BATCH_XS) | st.floats(0.9, 1.0, exclude_max=True),
                          st.integers(1, 6000) | st.integers(1, _BASE - 1))
 
@@ -575,8 +592,12 @@ class TestPowerSums:
                                                               data):
         points += data.draw(st.lists(st.sampled_from(points), max_size=4))     # duplicates
         stream = SequenceStream(model, seed, 0)
-        batch = MomentTable(stream, filled).power_sums(points)
+        table = MomentTable(stream, filled)
+        batch = table.power_sums(points)
         assert _bits(batch) == _bits(_alone(stream, points))
+        direct = [(x, n) for x, n in points if table._level(-math.log(x), n) < 0]
+        assert _bits(table.power_sums(direct)) == _bits(
+            _power_sum(stream.float_coefficients(n), x) for x, n in direct)
 
     # N = 128 fits one base block whatever the table's length: a 256-term table
     # gives the slack of a 128-term one, not that of its 2-block level
