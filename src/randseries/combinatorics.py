@@ -334,6 +334,8 @@ def shift_effect_on_scan(stream, n_head: int, grid: ScanGrid = ScanGrid(),
     rounding; the report certifies |difference - (d_2 - d_1)| against the band
     sum |b_n - a_n| (1 - x0^n) taken at the shallowest grid point x0.
     """
+    if not (isinstance(n_head, int) and n_head >= 0):
+        raise ConfigError(f"n_head must be a nonnegative int, got {n_head!r}")
     model = stream.model
     head = stream.index_prefix(n_head)
     image = shift_up_indices(head)

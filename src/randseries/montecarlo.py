@@ -49,6 +49,8 @@ _MAX_CHUNK = 256
 
 def wilson_interval(successes: int, total: int) -> tuple[float, float]:
     """Wilson 95 % score interval for a binomial proportion."""
+    if not 0 <= successes <= total:
+        raise ConfigError(f"successes must lie in [0, total], got {successes} of {total}")
     if total <= 0:
         return (0.0, 1.0)
     z = _WILSON_Z
@@ -279,6 +281,9 @@ def zero_one_diagnostic(config: ExperimentConfig, depths: Sequence[float],
     depth grows; the table makes the finite-scale trend inspectable.
     """
     depths = sorted(set(float(d) for d in depths), reverse=True)
+    for d in depths:
+        if not d > 0.0:
+            raise ConfigError(f"depth {d!r} must be > 0")
     thresholds = tuple(check_threshold(t) for t in thresholds)
     if not (depths and thresholds):
         raise ConfigError("need at least one depth and one threshold")

@@ -472,18 +472,23 @@ def eval_truncated(stream, x: float, n_terms: int) -> BoundedValue:
     return BoundedValue(x, n_terms, value, tail_bound(max_abs, x, n_terms), slack)
 
 
-def eval_prefix(prefix: FinitePrefix, x: float) -> BoundedValue:
-    """Evaluate a finite prefix polynomial (no tail: the series stops at N)."""
-    return _eval_polynomial(prefix.floats, x)
+def eval_prefix(prefix: FinitePrefix, x):
+    """Evaluate a finite prefix polynomial sum a_n x^n (no tail: the series stops at N).
 
-
-def _eval_polynomial(coeffs: np.ndarray, x: float) -> BoundedValue:
-    """Evaluate sum a_n x^n over float coefficients a_1..a_N, with no tail."""
+    Exact (a Fraction) for Fraction x; a ``BoundedValue`` with its rounding
+    slack for float x.
+    """
+    if isinstance(x, Fraction):
+        if not (0 <= x < 1):
+            raise ConfigError(f"x must lie in [0, 1), got {x}")
+        return sum((a * x ** n for n, a in enumerate(prefix.values, 1)), Fraction(0))
     x = _check_x(x)
-    n = coeffs.shape[0]
+    n = len(prefix)
     if x == 0.0:
         return BoundedValue(x, n, 0.0, 0.0, 0.0)
-    value, slack = _power_sum(coeffs, x)
+    # not the cached ``prefix.floats``: ``orbit_values`` passes the caller's own
+    # prefix as rotation 0, and the cache would hold 8 B a term for its lifetime
+    value, slack = _power_sum(prefix.model.floats[prefix.index_array], x)
     return BoundedValue(x, n, value, 0.0, slack)
 
 
@@ -497,10 +502,13 @@ def required_terms(max_abs: float, x: float, eps: float) -> int:
     """Minimal N with the certified tail bound at most eps.
 
     Raises:
-        ConfigError: unless eps > 1e-300 (``check_eps``).
+        ConfigError: unless eps > 1e-300 (``check_eps``) and max_abs is
+            finite and >= 0.
     """
     x = _check_x(x)
     check_eps(eps)
+    if not 0.0 <= max_abs < math.inf:
+        raise ConfigError(f"max_abs must be finite and >= 0, got {max_abs!r}")
     if x == 0.0 or max_abs == 0.0:
         return 1
     # tail_bound <= eps  iff  max|d| x^(N+1) / (1-x) <= eps - _TINY, up to rounding;
@@ -612,13 +620,8 @@ def lower_bound_from_positive_walk(prefix: FinitePrefix, x: float, m: int) -> Wa
     if not (0.0 < x < 1.0):
         raise ConfigError(f"x must lie in (0, 1), got {x!r}")
     threshold = m * prefix.model.min_value
-    first_violation = None
-    s = Fraction(0)
-    for l, a in enumerate(prefix.values, start=1):
-        s += a
-        if s <= threshold:
-            first_violation = l
-            break
+    first_violation = next((l for l, s in enumerate(partial_sums(prefix), start=1)
+                            if s <= threshold), None)
     bound = float(threshold) * x
     bound = math.nextafter(math.nextafter(bound, -math.inf), -math.inf)
     return WalkLowerBound(threshold, bound, first_violation is None, first_violation)

@@ -11,11 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .coefficients import FinitePrefix
 from .errors import ConfigError, PreconditionError
-from .series_eval import BoundedValue, _eval_polynomial
+from .series_eval import BoundedValue, eval_prefix
 
 __all__ = ["SignWitness", "apply_perm", "orbit_sum", "orbit_values", "sign_witness"]
 
@@ -31,24 +29,8 @@ def apply_perm(prefix: FinitePrefix, j: int) -> FinitePrefix:
 
 
 def orbit_values(prefix: FinitePrefix, x) -> list:
-    """Truncated series values of all k rotated prefixes at x.
-
-    Exact rationals for Fraction x.  For float x the index array is read
-    through the value table of each rotated alphabet (index i maps to the
-    value of (i + j) mod k) and summed by the float kernel of ``eval_prefix``.
-    """
-    k = prefix.model.k
-    if isinstance(x, Fraction):
-        if not (0 <= x < 1):
-            raise ConfigError(f"x must lie in [0, 1), got {x}")
-        out = []
-        for j in range(k):
-            rotated = apply_perm(prefix, j)
-            out.append(sum((a * x ** n for n, a in enumerate(rotated.values, 1)), Fraction(0)))
-        return out
-    table = prefix.model.floats
-    return [_eval_polynomial(table[(np.arange(k) + j) % k][prefix.index_array], x)
-            for j in range(k)]
+    """``eval_prefix`` of all k rotated prefixes at x: exact for Fraction x."""
+    return [eval_prefix(apply_perm(prefix, j), x) for j in range(prefix.model.k)]
 
 
 def orbit_sum(prefix: FinitePrefix, x):

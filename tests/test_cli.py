@@ -198,13 +198,13 @@ class TestOrbitCheckCommand:
     @pytest.mark.parametrize("values,k", [("-1,0,1", 3), ("0,1", 2)])
     def test_each_rotation_evaluated_once(self, values, k, monkeypatch, capsys):
         calls = []
-        real = symmetry._eval_polynomial
+        real = symmetry.eval_prefix
 
         def counting(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(symmetry, "_eval_polynomial", counting)
+        monkeypatch.setattr(symmetry, "eval_prefix", counting)
         assert run(["orbit-check", "--set", values, "--x", "0.9", "--n", "300"]) == 0
         assert len(calls) == k
 

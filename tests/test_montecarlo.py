@@ -289,3 +289,9 @@ class TestZeroOneDiagnostic:
         config = ExperimentConfig(M01, 10, 3, grid=SMALL_GRID)
         with pytest.raises(ConfigError, match="shallower than the grid start"):
             zero_one_diagnostic(config, depths=[0.5], thresholds=[5.0])
+
+    @pytest.mark.parametrize("depth,shown", [(0.0, "0.0"), (-1e-3, "-0.001"), (float("nan"), "nan")])
+    def test_depth_not_above_zero_named(self, depth, shown):
+        config = ExperimentConfig(M11, 1, 0)
+        with pytest.raises(ConfigError, match=f"depth {shown} must be > 0"):
+            zero_one_diagnostic(config, [depth], [1.0])

@@ -38,9 +38,11 @@ from randseries import (
     required_terms,
     scan,
     series_eval,
+    shift_effect_on_scan,
     shift_up,
     tail_bound,
     walk_positivity,
+    wilson_interval,
     witness_nonzero_coordinate,
     witness_positive,
     zero_one_diagnostic,
@@ -212,6 +214,16 @@ class TestAbelForm:
                 abel = eval_abel_form(p, x)
                 assert abs(abel - direct) <= 1e-10 * (1 + abs(direct))
 
+    @pytest.mark.parametrize("x", [Fraction(0), Fraction(1, 3), Fraction(9, 10),
+                                   1 - Fraction(1, 10 ** 30)])
+    def test_eval_prefix_exact_at_fraction_x(self, x):
+        for model in (M01, M11, parse_model("-1,1/2,3")):
+            p = SequenceStream(model, 7, 0).prefix(40)
+            exact = eval_prefix(p, x)
+            assert isinstance(exact, Fraction)
+            assert exact == sum(a * x ** n for n, a in enumerate(p.values, 1))
+            assert exact == eval_abel_form(p, x)
+
     def test_partial_sums_telescope(self):
         p = SequenceStream(M11, 42, 0).prefix(30)
         s = partial_sums(p)
@@ -276,11 +288,21 @@ _FINE = parse_model("0,1,2", f"1/{2 ** 70},1/{2 ** 70},{2 ** 69 - 1}/{2 ** 69}")
     lambda: walk_positivity(ExperimentConfig(parse_model(f"1,{2 ** 62}"), 1, 0), 0, 2),
     lambda: zero_one_diagnostic(ExperimentConfig(M11, 1, 0), [0.5, 1e-3], [1.0]),
     lambda: MomentTable(SequenceStream(M01, 0), 0),
+    lambda: eval_prefix(_PREFIX, Fraction(1)),
+    lambda: wilson_interval(-1, 3),
+    lambda: wilson_interval(5, 3),
+    lambda: required_terms(-1.0, 0.9, 1e-3),
+    lambda: required_terms(math.inf, 0.9, 1e-3),
+    lambda: required_terms(math.nan, 0.9, 1e-3),
+    lambda: shift_effect_on_scan(SequenceStream(M01, 0), -1),
+    lambda: shift_effect_on_scan(SequenceStream(M01, 0), 2.5),
 ], ids=["n_terms", "abel_x", "walk_x", "no_depths", "depth_order", "witness_m", "rotation",
         "orbit_exact_x", "witness_inf", "witness_minus_inf", "witness_nan", "empty_set_spec",
         "weights_finer_than_draws", "colliding_float_mirrors",
         "prefix_index", "prefix_length", "head_index", "shift_other_model", "walk_m",
-        "walk_int64", "depth_above_grid_start", "table_terms"])
+        "walk_int64", "depth_above_grid_start", "table_terms", "prefix_exact_x_one",
+        "wilson_negative", "wilson_above_total", "max_abs_negative", "max_abs_inf", "max_abs_nan",
+        "shift_head_negative", "shift_head_fraction"])
 def test_bad_library_arguments_raise_config_error(call):
     with pytest.raises(ConfigError):
         call()

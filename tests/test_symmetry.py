@@ -1,6 +1,7 @@
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from randseries import (
@@ -12,6 +13,7 @@ from randseries import (
     parse_model,
     sign_witness,
 )
+from randseries.series_eval import _power_sum
 
 from .streams import PatternStream
 
@@ -80,6 +82,31 @@ class TestOrbitSum:
         x = 0.99
         closed = x * (1 - x ** n) / (1 - x)
         assert abs(orbit_sum(p, x) - closed) <= 1e-10 * closed
+
+
+class TestOrbitValues:
+    @pytest.mark.parametrize("spec", ["-1,1", "0,1", "-1,0,1", "-2,1/3,1,5/7", "1e-3,-7,2"])
+    def test_float_values_match_rotated_value_tables(self, spec):
+        # the rotation j reads index i through the value of (i + j) mod k
+        model = parse_model(spec)
+        k = model.k
+        for seed in range(3):
+            p = SequenceStream(model, seed, 0).prefix(3000)
+            for x in (0.0, 0.5, 0.9, 0.999):
+                vals = orbit_values(p, x)
+                assert len(vals) == k
+                for j, v in enumerate(vals):
+                    rotated = model.floats[(np.arange(k) + j) % k][p.index_array]
+                    value, slack = _power_sum(rotated, x) if x else (0.0, 0.0)
+                    assert (v.value, v.rounding_slack, v.tail_radius) == (value, slack, 0.0)
+
+    def test_exact_values_are_rotated_prefix_sums(self):
+        p = SequenceStream(M3, 9, 0).prefix(30)
+        x = Fraction(7, 8)
+        vals = orbit_values(p, x)
+        for j, v in enumerate(vals):
+            assert v == sum(a * x ** n for n, a in enumerate(apply_perm(p, j).values, 1))
+        assert sum(vals) == 0
 
 
 class TestSignWitness:
