@@ -254,14 +254,17 @@ def parse_model(set_spec: str, weights_spec: str | None = None) -> CoefficientMo
 class FinitePrefix:
     """The first N coordinates of a coefficient sequence, stored as value indices.
 
-    The indices are held in one read-only array (``index_array``); the tuple
-    ``indices`` and the exact ``values`` are built only when asked for.
+    The indices are held in one read-only array (``index_array``) of the streams'
+    type; the tuple ``indices``, the ``values`` and the ``floats`` are built from it.
     """
 
     def __init__(self, model: CoefficientModel, indices):
-        arr = np.array(indices, dtype=np.intp)
+        arr = np.asarray(indices)
+        if arr.size and arr.dtype.kind not in "iu":
+            raise ConfigError(f"prefix indices must be integers, got dtype {arr.dtype}")
         if arr.size and not (arr.min() >= 0 and arr.max() < model.k):
             raise ConfigError("prefix index outside the coefficient set")
+        arr = arr.astype(np.min_scalar_type(model.k - 1))
         arr.flags.writeable = False
         self.model = model
         self.index_array = arr
@@ -289,11 +292,9 @@ class FinitePrefix:
         vals = self.model.values
         return tuple(vals[i] for i in self.indices)
 
-    @cached_property
+    @property
     def floats(self) -> np.ndarray:
-        arr = self.model.floats[self.index_array]
-        arr.flags.writeable = False
-        return arr
+        return self.model.floats[self.index_array]
 
     @classmethod
     def from_values(cls, model: CoefficientModel, values: Sequence) -> "FinitePrefix":

@@ -486,9 +486,7 @@ def eval_prefix(prefix: FinitePrefix, x):
     n = len(prefix)
     if x == 0.0:
         return BoundedValue(x, n, 0.0, 0.0, 0.0)
-    # not the cached ``prefix.floats``: ``orbit_values`` passes the caller's own
-    # prefix as rotation 0, and the cache would hold 8 B a term for its lifetime
-    value, slack = _power_sum(prefix.model.floats[prefix.index_array], x)
+    value, slack = _power_sum(prefix.floats, x)
     return BoundedValue(x, n, value, 0.0, slack)
 
 
@@ -590,9 +588,9 @@ def eval_abel_form(prefix: FinitePrefix, x):
             raise ConfigError(f"x must lie in [0, 1), got {x}")
         s = partial_sums(prefix)
         total = sum((s[i] * (x ** (i + 1) - x ** (i + 2)) for i in range(n)), Fraction(0))
-        return total + s[-1] * x ** (n + 1)
+        return total + s[-1] * x ** (n + 1) if n else total
     x = _check_x(x)
-    if x == 0.0:
+    if x == 0.0 or n == 0:
         return 0.0
     sums = np.cumsum(prefix.floats)
     core = _power_sum(sums, x)[0] * (1.0 - x)
@@ -619,6 +617,8 @@ def lower_bound_from_positive_walk(prefix: FinitePrefix, x: float, m: int) -> Wa
     x = float(x)
     if not (0.0 < x < 1.0):
         raise ConfigError(f"x must lie in (0, 1), got {x!r}")
+    if not isinstance(m, int):
+        raise ConfigError(f"m must be an int, got {m!r}")
     threshold = m * prefix.model.min_value
     first_violation = next((l for l, s in enumerate(partial_sums(prefix), start=1)
                             if s <= threshold), None)

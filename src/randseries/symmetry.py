@@ -8,8 +8,11 @@ both a certified-nonnegative and a certified-nonpositive member at each x.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .coefficients import FinitePrefix
 from .errors import ConfigError, PreconditionError
@@ -21,11 +24,16 @@ __all__ = ["SignWitness", "apply_perm", "orbit_sum", "orbit_values", "sign_witne
 def apply_perm(prefix: FinitePrefix, j: int) -> FinitePrefix:
     """Rotate every coordinate j steps along the alphabet cycle (0 <= j < k)."""
     k = prefix.model.k
+    try:
+        j = operator.index(j)
+    except TypeError:
+        raise ConfigError(f"rotation count must be an integer, got {j!r}") from None
     if not (0 <= j < k):
         raise ConfigError(f"rotation count must lie in [0, {k}), got {j}")
     if j == 0:
         return prefix
-    return FinitePrefix(prefix.model, (prefix.index_array + j) % k)
+    idx = prefix.index_array   # the k-entry table keeps its type: no wrap-around
+    return FinitePrefix(prefix.model, ((np.arange(k) + j) % k).astype(idx.dtype)[idx])
 
 
 def orbit_values(prefix: FinitePrefix, x) -> list:

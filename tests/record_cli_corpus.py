@@ -1,0 +1,131 @@
+"""Record the CLI corpus: stdout, stderr summary and exit code of the prefix commands.
+
+Usage, from the repository root, at the commit whose outputs are the reference:
+
+    PYTHONPATH=src python3 -m tests.record_cli_corpus
+
+Each case runs in-process through ``cli.run``, in a fresh temporary working
+directory (a case with a config file gets it there as ``config.json``).  The
+``version`` line of the provenance header is left out of the recorded stdout,
+so a version bump alone does not change an entry.
+
+Entries already recorded are never replaced.  The script re-runs them and
+exits with 1 if any output differs, so a difference is reported, not re-pinned.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import platform
+import re
+import shlex
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from randseries.cli import run
+
+CORPUS_PATH = Path(__file__).parent / "data" / "cli_corpus.json"
+FIELDS = ("exit", "stdout", "stderr")
+_VERSION_LINE = re.compile(r'^    "version": .*\n', re.MULTILINE)
+
+_ORBIT_SETS = ["-1,1", "0,1", "-1,0,1", "-2,1/3,1,5/7", "1e-3,-7,2"]
+
+# (argv, config file text or None)
+CASES = [
+    *[(["orbit-check", "--set", s, "--x", x, "--n", "5000"], None)
+      for s in _ORBIT_SETS for x in ("0.5", "0.999")],
+    (["witness", "--set", "-1,1", "--prefix", "1,-1,1", "--target", "10"], None),
+    (["witness", "--set", "-1,0,1", "--prefix", "-1,-1,0,1,-1", "--target", "3"], None),
+    (["witness", "--set", "-2,1/3,1,5/7", "--prefix", "5/7,-2,1/3,-2", "--target", "2.5"], None),
+    (["bijection", "verify", "--set", "-1,1", "--n", "10"], None),
+    (["bijection", "verify", "--set", "-1,0,1", "--n", "6"], None),
+    # inputs these commands reject with exit 2
+    (["orbit-check", "--set", "-1,1", "--x", "1.5"], None),
+    (["orbit-check", "--set", "1e308,-1e308", "--n", "1000"], None),
+    (["orbit-check", "--set", "1.79e305,1.78e305", "--n", "1000"], None),
+    (["witness", "--set", "-1,1", "--prefix", "a,b"], None),
+    (["witness", "--set", "-1,1", "--prefix", "1", "--target", "inf"], None),
+    (["witness", "--set", "-1,1", "--prefix", "1", "--grid-size", "0"], None),
+    (["witness", "--set", "-1,1", "--prefix", "1", "--grid-size", "-5"], None),
+    (["witness", "--set", "-1,1", "--prefix", "1", "--target", "1e308"], None),
+    (["witness", "--set", "-1,1", "--prefix", ","], None),
+    (["witness", "--set", "1e308,-1e308", "--prefix", "1e308,1e308"], None),
+    (["witness", "--set", "-1,1", "--prefix", "2", "--target", "1"], None),
+    (["witness", "--set", "-1,0", "--prefix", "0", "--target", "1"], None),
+    (["bijection", "verify", "--set", "-1,1", "--n", "-1"], None),
+    (["bijection", "verify", "--set", "-1,1", "--n", "0"], None),
+    (["bijection", "verify", "--set", "-1,1"], None),
+    (["bijection", "verify", "--set", "-1,1", "--config", "config.json"],
+     '{"bijection": {"n": true}}'),
+]
+
+
+def case_key(argv: list[str], config: str | None) -> str:
+    key = shlex.join(argv)
+    return key if config is None else f"{key}  # config.json: {config}"
+
+
+def run_case(argv: list[str], config: str | None) -> dict:
+    """Exit code, stdout (without the version line) and stderr of one ``cli.run``."""
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            if config is not None:
+                Path("config.json").write_text(config, encoding="utf-8")
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run(argv)
+        finally:
+            os.chdir(cwd)
+    return {"exit": code, "stdout": _VERSION_LINE.sub("", out.getvalue()),
+            "stderr": err.getvalue()}
+
+
+def load() -> dict:
+    with open(CORPUS_PATH, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _recorded_with() -> dict:
+    commit = subprocess.run(["git", "rev-parse", "HEAD"], capture_output=True, text=True,
+                            cwd=Path(__file__).parent).stdout.strip()
+    return {"git_commit": commit or None, "python": platform.python_version(),
+            "numpy": np.__version__}
+
+
+def _one_case_per_line(doc: dict) -> str:
+    cases = ",\n".join(f"  {json.dumps(key)}: {json.dumps(entry, sort_keys=True)}"
+                       for key, entry in sorted(doc["cases"].items()))
+    return (f'{{"recorded_with": {json.dumps(doc["recorded_with"], sort_keys=True)},\n'
+            f' "cases": {{\n{cases}\n }}\n}}\n')
+
+
+def record() -> bool:
+    doc = load() if CORPUS_PATH.exists() else {"recorded_with": _recorded_with(), "cases": {}}
+    ok = True
+    for argv, config in CASES:
+        key = case_key(argv, config)
+        got = run_case(argv, config)
+        entry = doc["cases"].get(key)
+        if entry is None:
+            doc["cases"][key] = {"argv": argv, "config": config, **got}
+            continue
+        for field in FIELDS:
+            if entry[field] != got[field]:
+                print(f"{key}: {field} differs from the recorded reference", file=sys.stderr)
+                ok = False
+    CORPUS_PATH.parent.mkdir(exist_ok=True)
+    CORPUS_PATH.write_text(_one_case_per_line(doc), encoding="utf-8")
+    return ok
+
+
+if __name__ == "__main__":
+    sys.exit(0 if record() else 1)

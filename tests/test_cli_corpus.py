@@ -1,0 +1,21 @@
+"""The prefix commands reproduce the recorded corpus: stdout, stderr and exit code.
+
+The corpus is written by ``tests/record_cli_corpus.py``; see its docstring.
+"""
+
+import pytest
+
+from .record_cli_corpus import CASES, FIELDS, case_key, load, run_case
+
+CORPUS = load()["cases"]
+
+
+def test_every_case_is_recorded():
+    assert sorted(CORPUS) == sorted(case_key(argv, config) for argv, config in CASES)
+
+
+@pytest.mark.parametrize("key", sorted(CORPUS))
+def test_corpus_entry(key):
+    entry = CORPUS[key]
+    got = run_case(entry["argv"], entry["config"])
+    assert got == {field: entry[field] for field in FIELDS}

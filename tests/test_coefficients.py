@@ -7,10 +7,17 @@ from scipy import stats
 from randseries import (
     CoefficientModel,
     ConfigError,
+    FinitePrefix,
     MeanSign,
     PatchedStream,
     SequenceStream,
+    apply_perm,
+    eval_abel_form,
+    eval_prefix,
+    orbit_values,
     parse_model,
+    prefix_infimum,
+    shift_up,
 )
 from randseries.coefficients import _BLOCK
 
@@ -201,7 +208,7 @@ class TestRangeAcrossGenerationBlocks:
 
 
 class TestIndexDtype:
-    """Stream indices use the smallest unsigned type that holds k - 1; prefixes stay intp."""
+    """Stream indices use the smallest unsigned type that holds k - 1; so do prefixes."""
 
     @pytest.mark.parametrize("spec,dtype", [("-1,1", np.uint8), ("-1,0,1", np.uint8)])
     def test_sequence_and_patched_streams(self, spec, dtype):
@@ -223,9 +230,26 @@ class TestIndexDtype:
         assert idx.tolist() == [s.index_at(n) for n in range(lo, hi)]
         assert PatchedStream(s, (256,)).index_range(1, 3).dtype == np.uint16
 
-    def test_finite_prefix_stays_intp(self):
-        p = SequenceStream(parse_model("-1,0,1"), 5, 2).prefix(50)
-        assert p.index_array.dtype == np.intp
+    @pytest.mark.parametrize("k,dtype", [(3, np.uint8), (257, np.uint16)])
+    def test_finite_prefix_keeps_the_stream_dtype(self, k, dtype):
+        model = CoefficientModel.create([str(v) for v in range(k)])
+        stream = SequenceStream(model, 5, 2)
+        p = stream.prefix(50)
+        built = [p, FinitePrefix.from_values(model, p.values), FinitePrefix(model, list(p.indices)),
+                 FinitePrefix(model, []), apply_perm(p, 1), apply_perm(p, k - 1),
+                 shift_up(model, p)]
+        assert stream.index_range(1, 51).dtype == dtype
+        assert [q.index_array.dtype for q in built] == [dtype] * len(built)
+        assert not any(q.index_array.flags.writeable for q in built)
+
+    def test_no_float_copy_is_kept(self):
+        p = SequenceStream(parse_model("-1,0,1"), 5, 2).prefix(200)
+        eval_prefix(p, 0.9)
+        orbit_values(p, 0.9)
+        eval_abel_form(p, 0.9)
+        prefix_infimum(p, 64)
+        assert np.array_equal(p.floats, p.model.floats[p.index_array])
+        assert "floats" not in vars(p)
 
 
 class TestOneBasedPositions:

@@ -199,6 +199,13 @@ class TestAbelForm:
         assert eval_abel_form(p, Fraction(1, 2)) == Fraction(-1, 2)
         assert eval_abel_form(p, 0.5) == pytest.approx(-0.5, abs=1e-15)
 
+    @pytest.mark.parametrize("x", [0.5, Fraction(1, 2)])
+    def test_empty_prefix_is_the_empty_sum(self, x):
+        p = FinitePrefix(M01, [])
+        direct = eval_prefix(p, x)
+        assert eval_abel_form(p, x) == (direct if isinstance(x, Fraction) else direct.value) == 0
+        assert type(eval_abel_form(p, x)) is type(x)
+
     def test_all_minus_one_float_agreement(self):
         p = PatternStream(M11, [0]).prefix(10)
         x = 0.9
@@ -296,13 +303,19 @@ _FINE = parse_model("0,1,2", f"1/{2 ** 70},1/{2 ** 70},{2 ** 69 - 1}/{2 ** 69}")
     lambda: required_terms(math.nan, 0.9, 1e-3),
     lambda: shift_effect_on_scan(SequenceStream(M01, 0), -1),
     lambda: shift_effect_on_scan(SequenceStream(M01, 0), 2.5),
+    lambda: FinitePrefix(M01, [0.7, 1.2]),
+    lambda: FinitePrefix(M01, ["1", "0"]),
+    lambda: FinitePrefix(M01, [True, False]),
+    lambda: apply_perm(_PREFIX, 1.5),
+    lambda: lower_bound_from_positive_walk(_PREFIX, 0.5, 1.5),
 ], ids=["n_terms", "abel_x", "walk_x", "no_depths", "depth_order", "witness_m", "rotation",
         "orbit_exact_x", "witness_inf", "witness_minus_inf", "witness_nan", "empty_set_spec",
         "weights_finer_than_draws", "colliding_float_mirrors",
         "prefix_index", "prefix_length", "head_index", "shift_other_model", "walk_m",
         "walk_int64", "depth_above_grid_start", "table_terms", "prefix_exact_x_one",
         "wilson_negative", "wilson_above_total", "max_abs_negative", "max_abs_inf", "max_abs_nan",
-        "shift_head_negative", "shift_head_fraction"])
+        "shift_head_negative", "shift_head_fraction", "prefix_float_indices",
+        "prefix_string_indices", "prefix_bool_indices", "rotation_fraction", "walk_m_fraction"])
 def test_bad_library_arguments_raise_config_error(call):
     with pytest.raises(ConfigError):
         call()

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -45,6 +46,15 @@ class TestApplyPerm:
             apply_perm(p, 3)
         with pytest.raises(ValueError):
             apply_perm(p, -1)
+
+    def test_k257_rotations_in_uint16(self):
+        model = parse_model(",".join(str(v) for v in range(257)))
+        p = SequenceStream(model, 20170912, 7).prefix(5000)
+        wide = p.index_array.astype(np.int64)
+        for j in (1, np.int64(128), 256):
+            q = apply_perm(p, j)
+            assert q.index_array.dtype == np.uint16
+            assert np.array_equal(q.index_array, (wide + j) % model.k)
 
     def test_rotation_permutes_value_counts(self):
         p = SequenceStream(M3, 17, 0).prefix(5000)
@@ -99,6 +109,19 @@ class TestOrbitValues:
                     rotated = model.floats[(np.arange(k) + j) % k][p.index_array]
                     value, slack = _power_sum(rotated, x) if x else (0.0, 0.0)
                     assert (v.value, v.rounding_slack, v.tail_radius) == (value, slack, 0.0)
+
+    def test_peak_memory_per_term(self):
+        # the prefix and each rotation hold a byte a term; only one rotation's
+        # floats (8 B a term) are alive at a time
+        n = 1 << 20
+        p = SequenceStream(M3, 4, 0).prefix(n)
+        tracemalloc.start()
+        try:
+            orbit_values(p, 0.999)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * n
 
     def test_exact_values_are_rotated_prefix_sums(self):
         p = SequenceStream(M3, 9, 0).prefix(30)
