@@ -258,7 +258,7 @@ def _cmd_estimate(merged: dict, model) -> tuple[str, Optional[str]]:
 
 
 def _cmd_bijection(merged: dict, model) -> tuple[str, Optional[str]]:
-    n = int(_require(merged, "n", "bijection"))
+    n = _require(merged, "n", "bijection")
     report = verify_matching(model, n)
     ok = report.injective and report.sum_shift_exact and report.inverse_roundtrip
     return _json_document(merged, report.to_data()), (

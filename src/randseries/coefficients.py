@@ -18,7 +18,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_int
 
 __all__ = [
     "CoefficientModel",
@@ -338,8 +338,7 @@ class _Stream:
         return tuple(self.index_array(n_terms).tolist())
 
     def prefix(self, n_terms: int) -> FinitePrefix:
-        if n_terms < 1:
-            raise ConfigError("prefix length must be >= 1")
+        n_terms = check_int(n_terms, "prefix length", 1)
         return FinitePrefix(self.model, self.index_array(n_terms))
 
     def float_coefficients(self, n_terms: int) -> np.ndarray:
@@ -365,11 +364,9 @@ class SequenceStream(_Stream):
     """Deterministic infinite coefficient sequence keyed by (seed, sample index)."""
 
     def __init__(self, model: CoefficientModel, master_seed: int, sample_index: int = 0):
-        if sample_index < 0:
-            raise ConfigError("sample_index must be nonnegative")
         super().__init__(model)
-        self.master_seed = int(master_seed)
-        self.sample_index = int(sample_index)
+        self.master_seed = check_int(master_seed, "master_seed")
+        self.sample_index = check_int(sample_index, "sample_index", 0)
         self._key = _mix64(_mix64(self.master_seed) ^ ((self.sample_index * _STREAM_SALT) & _MASK64))
 
     def __repr__(self):
@@ -420,9 +417,7 @@ class PatchedStream(_Stream):
     def __init__(self, base, head_indices: Sequence[int]):
         super().__init__(base.model)
         self.base = base
-        self.head_indices = tuple(int(i) for i in head_indices)
-        if any(not (0 <= i < self.model.k) for i in self.head_indices):
-            raise ConfigError("head index outside the coefficient set")
+        self.head_indices = FinitePrefix(self.model, head_indices).indices
 
     def index_range(self, lo: int, hi: int) -> np.ndarray:
         _check_position(lo)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .boundary_scan import DEFAULT_EPS, ScanGrid, scan
 from .coefficients import _BLOCK, CoefficientModel, FinitePrefix, PatchedStream
-from .errors import ConfigError
+from .errors import ConfigError, check_int
 from .series_eval import check_terms
 
 __all__ = [
@@ -166,8 +166,7 @@ def _word_chunks(model: CoefficientModel, n: int):
     until the next one is drawn.  N and the budget are checked on the call,
     before anything is allocated.
     """
-    if n < 1:
-        raise ConfigError(f"word length N must be >= 1, got {n}")
+    n = check_int(n, "word length N", 1)
     k = model.k
     # k^N * N cells bound the work of every pass; a chunk holds at most _BLOCK words
     check_terms(k ** n * n, f"enumerating k^N words at N={n}, in array cells")
@@ -334,8 +333,7 @@ def shift_effect_on_scan(stream, n_head: int, grid: ScanGrid = ScanGrid(),
     rounding; the report certifies |difference - (d_2 - d_1)| against the band
     sum |b_n - a_n| (1 - x0^n) taken at the shallowest grid point x0.
     """
-    if not (isinstance(n_head, int) and n_head >= 0):
-        raise ConfigError(f"n_head must be a nonnegative int, got {n_head!r}")
+    n_head = check_int(n_head, "n_head", 0)
     model = stream.model
     head = stream.index_prefix(n_head)
     image = shift_up_indices(head)

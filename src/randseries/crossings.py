@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import ConfigError
+from .errors import ConfigError, check_int
 from .series_eval import MomentTable, check_term_budget, eval_to_eps, required_terms
 
 __all__ = [
@@ -124,8 +124,7 @@ def find_crossings(stream, y: float, window: tuple[float, float], eps: float = 1
         raise ConfigError(f"need 0 < x_lo < x_hi < 1, got {window!r}")
     if not math.isfinite(y):
         raise ConfigError(f"y must be finite, got {y!r}")
-    if max_brackets < 1:
-        raise ConfigError(f"max_brackets must be >= 1, got {max_brackets!r}")
+    max_brackets = check_int(max_brackets, "max_brackets", 1)
 
     grid = _detection_grid(x_lo, x_hi)
     max_abs = stream.model.max_abs_float

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one rule for integer arguments."""
+
+import operator
 
 
 class ConfigError(ValueError):
@@ -25,3 +27,17 @@ class BudgetExceededError(RuntimeError):
         self.limit = limit
         self.context = context
         super().__init__(f"budget exceeded ({context}): required {required} > budget {limit}")
+
+
+def check_int(value, what: str, minimum: int | None = None) -> int:
+    """``value`` as an int.  Python and numpy integers pass; a bool, float, str or
+    Fraction does not.  A value below ``minimum`` raises as well."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        n = operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{what} must be an integer, got {value!r}") from None
+    if minimum is not None and n < minimum:
+        raise ConfigError(f"{what} must be >= {minimum}, got {n}")
+    return n

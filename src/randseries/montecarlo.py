@@ -23,7 +23,7 @@ import numpy as np
 from .boundary_scan import (DEFAULT_EPS, _REL_FUZZ, ScanGrid, Verdict, check_threshold, scan,
                             verdicts_by_depth)
 from .coefficients import CoefficientModel, MeanSign, SequenceStream
-from .errors import ConfigError
+from .errors import ConfigError, check_int
 from .series_eval import check_eps, check_term_budget, check_terms
 
 __all__ = [
@@ -74,12 +74,11 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.num_samples < 1:
-            raise ConfigError("num_samples must be >= 1")
+        check_int(self.num_samples, "num_samples", 1)
+        check_int(self.master_seed, "master_seed")
         check_threshold(self.threshold)
         check_eps(self.eps)
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
+        check_int(self.workers, "workers", 1)
 
 
 def _map_samples(kernel, count: int, workers: int):
@@ -103,7 +102,7 @@ def _histogram_add(counts: Counter, value: float) -> None:
 
 
 def _histogram_data(counts: Counter) -> dict:
-    bins = sorted((k, v) for k, v in counts.items() if isinstance(k, int))
+    bins = sorted((k, v) for k, v in counts.items() if k not in ("under", "over"))
     return {
         "bin_width": HIST_BIN_WIDTH,
         "range": [-HIST_RANGE, HIST_RANGE],
@@ -232,8 +231,8 @@ def walk_positivity(config: ExperimentConfig, m: int, horizon: int = 1_000_000
     positivity test involves no float rounding.  Nonincreasing in the horizon
     and nondecreasing in m by containment.
     """
-    if m < 0:
-        raise ConfigError("m must be nonnegative")
+    m = check_int(m, "m", 0)
+    horizon = check_int(horizon, "horizon")
     if horizon <= m:
         raise ConfigError("horizon must exceed m")
     check_terms(horizon, "walk positivity horizon")

@@ -20,7 +20,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .coefficients import _BLOCK, FinitePrefix
-from .errors import BudgetExceededError, ConfigError
+from .errors import BudgetExceededError, ConfigError, check_int
 
 __all__ = [
     "BoundedValue",
@@ -314,8 +314,7 @@ class MomentTable:
     """
 
     def __init__(self, stream, n_terms: int, points: Iterable[tuple[float, int]] = ()):
-        if n_terms < 1:
-            raise ConfigError("n_terms must be >= 1")
+        n_terms = check_int(n_terms, "n_terms", 1)
         self.model = stream.model
         self._stream = stream
         self._build(n_terms)
@@ -459,9 +458,7 @@ def eval_truncated(stream, x: float, n_terms: int) -> BoundedValue:
     ``MomentTable`` of one (block moments; see its docstring for the slack).
     """
     x = _check_x(x)
-    n_terms = int(n_terms)
-    if n_terms < 1:
-        raise ConfigError("n_terms must be >= 1")
+    n_terms = check_int(n_terms, "n_terms", 1)
     max_abs = stream.model.max_abs_float
     if x == 0.0:
         return BoundedValue(x, n_terms, 0.0, 0.0, 0.0)
@@ -617,9 +614,7 @@ def lower_bound_from_positive_walk(prefix: FinitePrefix, x: float, m: int) -> Wa
     x = float(x)
     if not (0.0 < x < 1.0):
         raise ConfigError(f"x must lie in (0, 1), got {x!r}")
-    if not isinstance(m, int):
-        raise ConfigError(f"m must be an int, got {m!r}")
-    threshold = m * prefix.model.min_value
+    threshold = check_int(m, "m") * prefix.model.min_value
     first_violation = next((l for l, s in enumerate(partial_sums(prefix), start=1)
                             if s <= threshold), None)
     bound = float(threshold) * x

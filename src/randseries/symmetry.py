@@ -8,14 +8,13 @@ both a certified-nonnegative and a certified-nonpositive member at each x.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .coefficients import FinitePrefix
-from .errors import ConfigError, PreconditionError
+from .errors import ConfigError, PreconditionError, check_int
 from .series_eval import BoundedValue, eval_prefix
 
 __all__ = ["SignWitness", "apply_perm", "orbit_sum", "orbit_values", "sign_witness"]
@@ -24,10 +23,7 @@ __all__ = ["SignWitness", "apply_perm", "orbit_sum", "orbit_values", "sign_witne
 def apply_perm(prefix: FinitePrefix, j: int) -> FinitePrefix:
     """Rotate every coordinate j steps along the alphabet cycle (0 <= j < k)."""
     k = prefix.model.k
-    try:
-        j = operator.index(j)
-    except TypeError:
-        raise ConfigError(f"rotation count must be an integer, got {j!r}") from None
+    j = check_int(j, "rotation count")
     if not (0 <= j < k):
         raise ConfigError(f"rotation count must lie in [0, {k}), got {j}")
     if j == 0:

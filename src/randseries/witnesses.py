@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .coefficients import CoefficientModel, FinitePrefix
-from .errors import ConfigError, PreconditionError, WitnessImpossibleError
+from .errors import ConfigError, PreconditionError, WitnessImpossibleError, check_int
 from .series_eval import check_terms, required_terms, rounding_slack, tail_bound
 
 __all__ = [
@@ -66,9 +66,7 @@ def prefix_infimum(prefix: FinitePrefix, grid_size: int = DEFAULT_GRID_SIZE) -> 
     """
     if len(prefix) < 1:
         raise ConfigError("prefix must have at least one coordinate")
-    g = int(grid_size)
-    if g < 1:
-        raise ConfigError(f"grid_size must be >= 1, got {g}")
+    g = check_int(grid_size, "grid_size", 1)
     check_terms(len(prefix) * (g + 1), "prefix infimum cells (prefix length x grid points)")
     coeffs = prefix.floats
     xs = np.arange(g + 1, dtype=np.float64) / g
@@ -216,8 +214,7 @@ def witness_nonzero_coordinate(prefix: FinitePrefix, m: int) -> Cylinder:
     nonzero coordinate at an index > m and therefore beyond any claimed
     all-zero tail starting at m.
     """
-    if m < 0:
-        raise ConfigError("m must be nonnegative")
+    m = check_int(m, "m", 0)
     model = prefix.model
     # k >= 2 distinct values always include a nonzero one
     nonzero = next(i for i, v in enumerate(model.values) if v != 0)

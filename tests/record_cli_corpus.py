@@ -1,4 +1,4 @@
-"""Record the CLI corpus: stdout, stderr summary and exit code of the prefix commands.
+"""Record the CLI corpus: stdout, stderr summary and exit code of each recorded command.
 
 Usage, from the repository root, at the commit whose outputs are the reference:
 
@@ -64,6 +64,26 @@ CASES = [
     (["bijection", "verify", "--set", "-1,1"], None),
     (["bijection", "verify", "--set", "-1,1", "--config", "config.json"],
      '{"bijection": {"n": true}}'),
+    # scan, estimate and crossings; estimate pins --workers, which the header echoes
+    *[(["scan", *flags, "--depth", "1e-5"], None)
+      for flags in (["--set", "-1,1"], ["--set", "-1,0,1", "--weights", "1/4,1/4,1/2"],
+                    ["--set", "-2,1/3,1,5/7"])],
+    *[(["estimate", *flags, "--seed", seed, "--samples", "32", "--depth", "1e-5", "--ratio",
+        "0.5", "--eps", "0.01", "--threshold", "5", "--workers", "1"], None)
+      for flags, seed in ((["--set", "-1,1"], "0"),
+                          (["--set", "-1,0,1", "--weights", "1/4,1/4,1/2"], "1"))],
+    *[(["crossings", "--set", "-1,1", "--seed", "1", "--index", index, "--window", "1e-2:1e-5",
+        "--eps", "1e-3"], None) for index in ("0", "1")],
+    # inputs over the work budget or the grid-point cap, which exit with 3
+    (["scan", "--set", "-1,1", "--depth", "1e-9"], None),
+    (["scan", "--set", "-1,1", "--ratio", "0.99999"], None),
+    (["estimate", "--set", "-1,1", "--samples", "2", "--workers", "1", "--depth", "1e-9"], None),
+    (["crossings", "--set", "-1,1", "--window", "1e-2:1e-9"], None),
+    # counts and indices below their minimum, which exit with 2
+    (["estimate", "--set", "-1,1", "--samples", "0"], None),
+    (["estimate", "--set", "-1,1", "--workers", "0"], None),
+    (["orbit-check", "--set", "-1,1", "--n", "0"], None),
+    (["scan", "--set", "-1,1", "--index", "-1"], None),
 ]
 
 

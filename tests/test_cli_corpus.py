@@ -1,4 +1,4 @@
-"""The prefix commands reproduce the recorded corpus: stdout, stderr and exit code.
+"""The CLI reproduces the recorded corpus: stdout, stderr and exit code.
 
 The corpus is written by ``tests/record_cli_corpus.py``; see its docstring.
 """

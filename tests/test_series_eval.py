@@ -23,6 +23,7 @@ from randseries import (
     apply_perm,
     crossing_counts_by_depth,
     crossings,
+    domain_fraction,
     estimate_properties,
     eval_abel_form,
     eval_prefix,
@@ -41,6 +42,7 @@ from randseries import (
     shift_effect_on_scan,
     shift_up,
     tail_bound,
+    verify_matching,
     walk_positivity,
     wilson_interval,
     witness_nonzero_coordinate,
@@ -270,6 +272,7 @@ class TestPositiveWalkBound:
 _PREFIX = PatternStream(M01, [1]).prefix(3)
 # cumulative weights 2^-70 and 2^-69 fall in one cell of the 64-bit sampling grid
 _FINE = parse_model("0,1,2", f"1/{2 ** 70},1/{2 ** 70},{2 ** 69 - 1}/{2 ** 69}")
+_K3_STREAM = SequenceStream(parse_model("-1,0,1"), 0)
 
 
 @pytest.mark.parametrize("call", [
@@ -308,6 +311,23 @@ _FINE = parse_model("0,1,2", f"1/{2 ** 70},1/{2 ** 70},{2 ** 69 - 1}/{2 ** 69}")
     lambda: FinitePrefix(M01, [True, False]),
     lambda: apply_perm(_PREFIX, 1.5),
     lambda: lower_bound_from_positive_walk(_PREFIX, 0.5, 1.5),
+    lambda: SequenceStream(M01, 1.5),
+    lambda: SequenceStream(M01, "7"),
+    lambda: SequenceStream(M01, 0, 1.5),
+    lambda: PatchedStream(_K3_STREAM, [0.7, 2.9]),
+    lambda: PatchedStream(_K3_STREAM, ["1"]),
+    lambda: witness_nonzero_coordinate(_PREFIX, 5.5),
+    lambda: walk_positivity(ExperimentConfig(M01, 1, 0), 1.5, 10),
+    lambda: walk_positivity(ExperimentConfig(M01, 1, 0), 1, 10.5),
+    lambda: prefix_infimum(_PREFIX, 2.7),
+    lambda: ExperimentConfig(M01, 2.5, 0),
+    lambda: ExperimentConfig(M01, 2, 0, workers=1.5),
+    lambda: ExperimentConfig(M01, 4, 1.5),
+    lambda: domain_fraction(M01, 2.5),
+    lambda: verify_matching(M01, 2.5),
+    lambda: eval_truncated(ALL_ONES, 0.5, 2.5),
+    lambda: ALL_ONES.prefix(2.5),
+    lambda: apply_perm(_PREFIX, True),
 ], ids=["n_terms", "abel_x", "walk_x", "no_depths", "depth_order", "witness_m", "rotation",
         "orbit_exact_x", "witness_inf", "witness_minus_inf", "witness_nan", "empty_set_spec",
         "weights_finer_than_draws", "colliding_float_mirrors",
@@ -315,10 +335,22 @@ _FINE = parse_model("0,1,2", f"1/{2 ** 70},1/{2 ** 70},{2 ** 69 - 1}/{2 ** 69}")
         "walk_int64", "depth_above_grid_start", "table_terms", "prefix_exact_x_one",
         "wilson_negative", "wilson_above_total", "max_abs_negative", "max_abs_inf", "max_abs_nan",
         "shift_head_negative", "shift_head_fraction", "prefix_float_indices",
-        "prefix_string_indices", "prefix_bool_indices", "rotation_fraction", "walk_m_fraction"])
+        "prefix_string_indices", "prefix_bool_indices", "rotation_fraction", "walk_m_fraction",
+        "seed_float", "seed_string", "sample_index_float", "head_float", "head_string",
+        "witness_m_float", "walk_m_float", "walk_horizon_float", "grid_size_float",
+        "samples_float", "workers_float", "experiment_seed_float", "domain_n_float",
+        "matching_n_float", "n_terms_float", "prefix_length_float", "rotation_bool"])
 def test_bad_library_arguments_raise_config_error(call):
     with pytest.raises(ConfigError):
         call()
+
+
+def test_numpy_integer_arguments_pass():
+    p = PatternStream(M11, [1]).prefix(3)
+    assert (lower_bound_from_positive_walk(p, 0.5, np.int64(2))
+            == lower_bound_from_positive_walk(p, 0.5, 2))
+    stream, grid = SequenceStream(M11, 3, 0), ScanGrid(delta_min=1e-2)
+    assert shift_effect_on_scan(stream, np.int64(3), grid) == shift_effect_on_scan(stream, 3, grid)
 
 
 @pytest.mark.parametrize("spec", [f"{2 ** 900},{-2 ** 900}", f"{2 ** 900},{2 ** 899},{-2 ** 900}"],
@@ -372,6 +404,50 @@ class TestOneBudgetHome:
         # every work budget goes through check_terms; the grid-point cap is the other one
         assert _budget_error_sites() == {("series_eval", "check_terms"),
                                          ("boundary_scan", "ScanGrid.deltas")}
+
+
+def _integer_rule_uses(source: str) -> list[tuple[str, int]]:
+    """(enclosing def or class path, line) of every ``operator.index`` and
+    ``isinstance(<arg>, int)`` (alone or in a tuple of types) in ``source``."""
+    uses = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            found = False
+            if isinstance(child, ast.Attribute):
+                found = (child.attr == "index" and isinstance(child.value, ast.Name)
+                         and child.value.id == "operator")
+            elif isinstance(child, ast.ImportFrom):
+                found = child.module == "operator" and any(a.name == "index" for a in child.names)
+            elif (isinstance(child, ast.Call) and getattr(child.func, "id", None) == "isinstance"
+                  and len(child.args) == 2):
+                types = child.args[1]
+                types = types.elts if isinstance(types, ast.Tuple) else [types]
+                found = any(getattr(t, "id", None) == "int" for t in types)
+            if found:
+                uses.append((".".join(scope), child.lineno))
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return uses
+
+
+class TestOneIntegerRule:
+    def test_integer_arguments_are_checked_in_check_int_only(self):
+        # every count, index, seed, rotation and head goes through errors.check_int
+        sites = {(path.stem, scope)
+                 for path in sorted(Path(randseries.__file__).parent.glob("*.py"))
+                 for scope, _ in _integer_rule_uses(path.read_text(encoding="utf-8"))}
+        assert sites == {("errors", "check_int")}
+
+    def test_the_guard_sees_each_form(self):
+        source = ("def f(n):\n    return operator.index(n)\n"
+                  "class C:\n    def g(self, n):\n        return isinstance(n, (float, int))\n"
+                  "from operator import index\nok = isinstance(n, bool) or isinstance(n, int)\n")
+        assert [scope for scope, _ in _integer_rule_uses(source)] == ["f", "C.g", "", ""]
 
 
 def _counting(monkeypatch, module, name) -> list:
