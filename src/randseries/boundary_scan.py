@@ -11,7 +11,7 @@ import enum
 import math
 from dataclasses import dataclass, replace
 
-from .errors import BudgetExceededError, ConfigError
+from .errors import BudgetExceededError, ConfigError, check_real
 from .series_eval import check_term_budget, eval_to_eps
 
 __all__ = [
@@ -46,10 +46,10 @@ class ScanGrid:
     delta_min: float = 1e-5
 
     def __post_init__(self):
-        if not (0.0 < self.delta_min <= self.delta_start < 1.0):
+        for key in ("delta_start", "ratio", "delta_min"):
+            object.__setattr__(self, key, check_real(getattr(self, key), key, 0.0, 1.0))
+        if not self.delta_min <= self.delta_start:
             raise ConfigError("need 0 < delta_min <= delta_start < 1")
-        if not (0.0 < self.ratio < 1.0):
-            raise ConfigError("ratio must lie in (0, 1)")
 
     def size(self) -> int:
         """Number of grid points, in closed form: the first m with
@@ -126,7 +126,6 @@ def scan(stream, grid: ScanGrid = ScanGrid(), eps: float = DEFAULT_EPS) -> ScanR
     The term budget is checked at the deepest grid point, which bounds the
     others, before any evaluation; the float cache is filled once to it.
     """
-    eps = float(eps)
     deltas = grid.deltas()
     n_max = check_term_budget(stream.model.max_abs_float, (1 - d for d in deltas), eps, "scan grid")
     stream.float_coefficients(n_max)
@@ -145,13 +144,11 @@ def scan(stream, grid: ScanGrid = ScanGrid(), eps: float = DEFAULT_EPS) -> ScanR
 
 def check_threshold(threshold: float) -> float:
     """Return a verdict threshold as a float; raise ConfigError unless finite and positive."""
-    if not (math.isfinite(threshold) and threshold > 0):
-        raise ConfigError(f"threshold must be finite and positive, got {threshold!r}")
-    return float(threshold)
+    return check_real(threshold, "threshold", 0.0)
 
 
 def _classify(rows: tuple[ScanRow, ...], threshold: float) -> Verdict:
-    check_threshold(threshold)
+    threshold = check_threshold(threshold)
     sup_lower = rows[-1].running_sup_lower
     inf_upper = rows[-1].running_inf_upper
     if sup_lower > threshold and inf_upper < -threshold:

@@ -13,7 +13,6 @@ import csv
 import functools
 import io
 import json
-import math
 import os
 import sys
 import tempfile
@@ -29,6 +28,7 @@ from .errors import (
     ConfigError,
     PreconditionError,
     WitnessImpossibleError,
+    check_real,
 )
 from .montecarlo import ExperimentConfig, estimate_properties
 from .series_eval import check_terms
@@ -167,9 +167,8 @@ def _merged_config(command: str, ns: argparse.Namespace) -> dict:
         if given is not None:
             merged[key] = given
     for key, (typ, _default) in spec.items():
-        if typ is float and merged.get(key) is not None and not math.isfinite(merged[key]):
-            raise ConfigError(f"{command}: --{key.replace('_', '-')} must be finite, "
-                              f"got {merged[key]!r}")
+        if typ is float and merged.get(key) is not None:
+            merged[key] = check_real(merged[key], f"{command}: --{key.replace('_', '-')}")
     return merged
 
 

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import ConfigError, check_int
+from .errors import ConfigError, check_int, check_real
 from .series_eval import MomentTable, check_term_budget, eval_to_eps, required_terms
 
 __all__ = [
@@ -119,11 +119,10 @@ def find_crossings(stream, y: float, window: tuple[float, float], eps: float = 1
     is handed the grid points with their truncations and evaluates them
     together when it is built.
     """
-    x_lo, x_hi = window
-    if not (0.0 < x_lo < x_hi < 1.0):
+    x_lo, x_hi = (check_real(x, "window end", 0.0, 1.0) for x in window)
+    if not x_lo < x_hi:
         raise ConfigError(f"need 0 < x_lo < x_hi < 1, got {window!r}")
-    if not math.isfinite(y):
-        raise ConfigError(f"y must be finite, got {y!r}")
+    y = check_real(y, "y")
     max_brackets = check_int(max_brackets, "max_brackets", 1)
 
     grid = _detection_grid(x_lo, x_hi)
@@ -166,6 +165,7 @@ def crossing_counts_by_depth(stream, y: float, depths: list[float],
     """
     if not depths:
         raise ConfigError("need at least one depth")
+    depths = [check_real(d, "depth", 0.0, 1.0) for d in depths]
     if any(b >= a for a, b in zip(depths, depths[1:])):
         raise ConfigError("depths must be strictly decreasing")
     report = find_crossings(stream, y, (1.0 - depths[0], 1.0 - depths[-1]), eps)

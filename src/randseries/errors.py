@@ -1,5 +1,7 @@
-"""Exception types shared across the package, and its one rule for integer arguments."""
+"""Exception types shared across the package, and its rules for integer and real arguments."""
 
+import math
+import numbers
 import operator
 
 
@@ -41,3 +43,21 @@ def check_int(value, what: str, minimum: int | None = None) -> int:
     if minimum is not None and n < minimum:
         raise ConfigError(f"{what} must be >= {minimum}, got {n}")
     return n
+
+
+def check_real(value, what: str, low: float = -math.inf, high: float = math.inf,
+               closed_low: bool = False) -> float:
+    """``value`` as a float: a Python or numpy real or a Fraction (not a bool) with
+    low < value < high, or low <= value for a finite low with ``closed_low``."""
+    if type(value) is not float:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ConfigError(f"{what} must be a real number, got {value!r}")
+        try:
+            value = float(value)
+        except OverflowError:
+            value = math.inf if value > 0 else -math.inf
+    if low < value < high or closed_low and value == low:
+        return value
+    rule = ("be finite" if low == -math.inf and high == math.inf
+            else f"lie in {'[' if closed_low else '('}{low:g}, {high:g})")
+    raise ConfigError(f"{what} must {rule}, got {value!r}")

@@ -23,7 +23,7 @@ import numpy as np
 from .boundary_scan import (DEFAULT_EPS, _REL_FUZZ, ScanGrid, Verdict, check_threshold, scan,
                             verdicts_by_depth)
 from .coefficients import CoefficientModel, MeanSign, SequenceStream
-from .errors import ConfigError, check_int
+from .errors import ConfigError, check_int, check_real
 from .series_eval import check_eps, check_term_budget, check_terms
 
 __all__ = [
@@ -49,6 +49,7 @@ _MAX_CHUNK = 256
 
 def wilson_interval(successes: int, total: int) -> tuple[float, float]:
     """Wilson 95 % score interval for a binomial proportion."""
+    successes, total = check_int(successes, "successes"), check_int(total, "total")
     if not 0 <= successes <= total:
         raise ConfigError(f"successes must lie in [0, total], got {successes} of {total}")
     if total <= 0:
@@ -74,11 +75,13 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
-        check_int(self.num_samples, "num_samples", 1)
-        check_int(self.master_seed, "master_seed")
-        check_threshold(self.threshold)
-        check_eps(self.eps)
-        check_int(self.workers, "workers", 1)
+        # store what the checks return, so the report echoes Python ints and floats
+        set_field = partial(object.__setattr__, self)
+        set_field("num_samples", check_int(self.num_samples, "num_samples", 1))
+        set_field("master_seed", check_int(self.master_seed, "master_seed"))
+        set_field("threshold", check_threshold(self.threshold))
+        set_field("eps", check_eps(self.eps))
+        set_field("workers", check_int(self.workers, "workers", 1))
 
 
 def _map_samples(kernel, count: int, workers: int):
@@ -279,10 +282,7 @@ def zero_one_diagnostic(config: ExperimentConfig, depths: Sequence[float],
     The zero-one prediction is that these fractions drift toward 1 as the
     depth grows; the table makes the finite-scale trend inspectable.
     """
-    depths = sorted(set(float(d) for d in depths), reverse=True)
-    for d in depths:
-        if not d > 0.0:
-            raise ConfigError(f"depth {d!r} must be > 0")
+    depths = sorted({check_real(d, "depth", 0.0) for d in depths}, reverse=True)
     thresholds = tuple(check_threshold(t) for t in thresholds)
     if not (depths and thresholds):
         raise ConfigError("need at least one depth and one threshold")

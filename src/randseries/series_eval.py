@@ -20,7 +20,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .coefficients import _BLOCK, FinitePrefix
-from .errors import BudgetExceededError, ConfigError, check_int
+from .errors import BudgetExceededError, ConfigError, check_int, check_real
 
 __all__ = [
     "BoundedValue",
@@ -82,13 +82,6 @@ class BoundedValue:
     @property
     def upper(self) -> float:
         return self.value + self.tail_radius + self.rounding_slack
-
-
-def _check_x(x: float) -> float:
-    x = float(x)
-    if not (0.0 <= x < 1.0) or math.isnan(x):
-        raise ConfigError(f"x must lie in [0, 1), got {x!r}")
-    return x
 
 
 def tail_bound(max_abs: float, x: float, n_terms: int) -> float:
@@ -457,7 +450,7 @@ def eval_truncated(stream, x: float, n_terms: int) -> BoundedValue:
     ``stream`` is a coefficient stream (direct power sum) or a
     ``MomentTable`` of one (block moments; see its docstring for the slack).
     """
-    x = _check_x(x)
+    x = check_real(x, "x", 0.0, 1.0, closed_low=True)
     n_terms = check_int(n_terms, "n_terms", 1)
     max_abs = stream.model.max_abs_float
     if x == 0.0:
@@ -479,7 +472,7 @@ def eval_prefix(prefix: FinitePrefix, x):
         if not (0 <= x < 1):
             raise ConfigError(f"x must lie in [0, 1), got {x}")
         return sum((a * x ** n for n, a in enumerate(prefix.values, 1)), Fraction(0))
-    x = _check_x(x)
+    x = check_real(x, "x", 0.0, 1.0, closed_low=True)
     n = len(prefix)
     if x == 0.0:
         return BoundedValue(x, n, 0.0, 0.0, 0.0)
@@ -487,23 +480,21 @@ def eval_prefix(prefix: FinitePrefix, x):
     return BoundedValue(x, n, value, 0.0, slack)
 
 
-def check_eps(eps: float) -> None:
-    """Raise ConfigError unless eps > 1e-300, the floor every tail bound carries."""
-    if not eps > _TINY:
-        raise ConfigError(f"eps must exceed {_TINY!r}, got {eps!r}")
+def check_eps(eps: float) -> float:
+    """eps as a float; ConfigError unless 1e-300 (every tail bound's floor) < eps < inf."""
+    return check_real(eps, "eps", _TINY)
 
 
 def required_terms(max_abs: float, x: float, eps: float) -> int:
     """Minimal N with the certified tail bound at most eps.
 
     Raises:
-        ConfigError: unless eps > 1e-300 (``check_eps``) and max_abs is
+        ConfigError: unless 1e-300 < eps < inf (``check_eps``) and max_abs is
             finite and >= 0.
     """
-    x = _check_x(x)
-    check_eps(eps)
-    if not 0.0 <= max_abs < math.inf:
-        raise ConfigError(f"max_abs must be finite and >= 0, got {max_abs!r}")
+    x = check_real(x, "x", 0.0, 1.0, closed_low=True)
+    eps = check_eps(eps)
+    max_abs = check_real(max_abs, "max_abs", 0.0, closed_low=True)
     if x == 0.0 or max_abs == 0.0:
         return 1
     # tail_bound <= eps  iff  max|d| x^(N+1) / (1-x) <= eps - _TINY, up to rounding;
@@ -586,7 +577,7 @@ def eval_abel_form(prefix: FinitePrefix, x):
         s = partial_sums(prefix)
         total = sum((s[i] * (x ** (i + 1) - x ** (i + 2)) for i in range(n)), Fraction(0))
         return total + s[-1] * x ** (n + 1) if n else total
-    x = _check_x(x)
+    x = check_real(x, "x", 0.0, 1.0, closed_low=True)
     if x == 0.0 or n == 0:
         return 0.0
     sums = np.cumsum(prefix.floats)
@@ -611,9 +602,7 @@ def lower_bound_from_positive_walk(prefix: FinitePrefix, x: float, m: int) -> Wa
     rounded downward.  If the precondition fails, ``first_violation`` is the
     first index l with S_l <= m*minD and the bound is not certified.
     """
-    x = float(x)
-    if not (0.0 < x < 1.0):
-        raise ConfigError(f"x must lie in (0, 1), got {x!r}")
+    x = check_real(x, "x", 0.0, 1.0)
     threshold = check_int(m, "m") * prefix.model.min_value
     first_violation = next((l for l, s in enumerate(partial_sums(prefix), start=1)
                             if s <= threshold), None)

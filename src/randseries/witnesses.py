@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .coefficients import CoefficientModel, FinitePrefix
-from .errors import ConfigError, PreconditionError, WitnessImpossibleError, check_int
+from .errors import ConfigError, PreconditionError, WitnessImpossibleError, check_int, check_real
 from .series_eval import check_terms, required_terms, rounding_slack, tail_bound
 
 __all__ = [
@@ -136,8 +136,7 @@ def witness_positive(prefix: FinitePrefix, m: float, *,
         PreconditionError: when no x on the ladder certifies the target, as
             for targets near the largest float.
     """
-    if not math.isfinite(m):
-        raise ConfigError(f"target must be finite, got {m!r}")
+    m = check_real(m, "target")
     model = prefix.model
     max_d = model.max_value
     if max_d <= 0:
@@ -155,7 +154,7 @@ def witness_positive(prefix: FinitePrefix, m: float, *,
     run = max(1, math.floor(need) + 2)
     big_m = j + run
 
-    target = float(m) + 1.0
+    target = m + 1.0
     t = None
     for t_try in range(1, _MAX_T_EXPONENT + 1):
         x_try = 1.0 - 2.0 ** -t_try
@@ -173,11 +172,11 @@ def witness_positive(prefix: FinitePrefix, m: float, *,
     n_fixed = max(big_m + 1, required_terms(neg, x, _BELOW_ONE))
     lhs_full = _dn(r_lower + _dn(max_d_f * _geom_sum_dn(x, j + 1, n_fixed)))
     lhs_full = _dn(lhs_full - tail_bound(neg, x, n_fixed))
-    margin = _dn(lhs_full - float(m))
+    margin = _dn(lhs_full - m)
     if margin <= 0.0:
         raise RuntimeError("outward-rounded certificate failed; construction is inconsistent")
     return PositiveWitness(
-        prefix=prefix, target=float(m), r_lower=r_lower,
+        prefix=prefix, target=m, r_lower=r_lower,
         run_end=big_m, t_exponent=t, x=x, n_fixed=n_fixed, margin=margin,
     )
 

@@ -5,9 +5,11 @@ Usage, from the repository root, at the commit whose outputs are the reference:
     PYTHONPATH=src python3 -m tests.record_cli_corpus
 
 Each case runs in-process through ``cli.run``, in a fresh temporary working
-directory (a case with a config file gets it there as ``config.json``).  The
-``version`` line of the provenance header is left out of the recorded stdout,
-so a version bump alone does not change an entry.
+directory (a case with a config file gets it there as ``config.json``), with
+the case's environment variables, if any, set for the run.  The ``version``
+line of the provenance header is left out of the recorded stdout, so a
+version bump alone does not change an entry.  A file the case writes there
+(an ``--svg`` plot) is recorded under ``files``.
 
 Entries already recorded are never replaced.  The script re-runs them and
 exits with 1 if any output differs, so a difference is reported, not re-pinned.
@@ -26,18 +28,19 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
 from randseries.cli import run
 
 CORPUS_PATH = Path(__file__).parent / "data" / "cli_corpus.json"
-FIELDS = ("exit", "stdout", "stderr")
+FIELDS = ("exit", "stdout", "stderr", "files")
 _VERSION_LINE = re.compile(r'^    "version": .*\n', re.MULTILINE)
 
 _ORBIT_SETS = ["-1,1", "0,1", "-1,0,1", "-2,1/3,1,5/7", "1e-3,-7,2"]
 
-# (argv, config file text or None)
+# (argv, config file text or None[, environment variables])
 CASES = [
     *[(["orbit-check", "--set", s, "--x", x, "--n", "5000"], None)
       for s in _ORBIT_SETS for x in ("0.5", "0.999")],
@@ -84,16 +87,40 @@ CASES = [
     (["estimate", "--set", "-1,1", "--workers", "0"], None),
     (["orbit-check", "--set", "-1,1", "--n", "0"], None),
     (["scan", "--set", "-1,1", "--index", "-1"], None),
+    # the rest of the inputs that exit with 2, and a scan that writes its plot
+    (["crossings", "--set", "-1,1", "--eps", "0"], None),
+    (["scan", "--set", "-1,1", "--eps", "nan"], None),
+    (["crossings", "--set", "-1,1", "--max-brackets", "0"], None),
+    (["crossings", "--set", "-1,1", "--max-brackets", "-3"], None),
+    (["crossings", "--set", "-1,1", "--window", "1e-5:1e-2"], None),
+    *[(["scan", "--set", "-1,1", "--config", "config.json"], text)
+      for text in ("[1]", '{"scan": {"seed": "abc"}}', '{"scan": 5}',
+                   '{"scan": {"dept": 1e-3}}')],
+    (["estimate", "--set", "-1,1", "--config", "config.json"], '{"estimate": {"samples": 2.7}}'),
+    (["scan", "--set", "1e400,1"], None),
+    (["scan", "--set", "1e308,-1e308", "--depth", "1e-2"], None),
+    (["crossings", "--set", "1e308,-1e308", "--window", "1e-1:1e-2"], None),
+    *[(["scan", "--set", "-1,1", "--depth", "1e-2"], None, {"RANDSERIES_TERM_BUDGET": budget})
+      for budget in ("abc", "0", "-5", "0.5", "1e400")],
+    (["scan", "--set", "-1,1", "--threshold", "-1", "--depth", "1e-6"], None),
+    (["scan", "--set", "-1,1", "--depth", "0"], None),
+    (["scan", "--set", "-1,1", "--ratio", "1"], None),
+    (["crossings", "--set", "-1,1", "--y", "nan"], None),
+    (["scan", "--set", "-1,1", "--depth", "1e-5", "--svg", "plot.svg"], None),
 ]
 
 
-def case_key(argv: list[str], config: str | None) -> str:
+def case_key(argv: list[str], config: str | None, env: dict | None = None) -> str:
     key = shlex.join(argv)
+    if env:
+        key = " ".join([*(f"{name}={shlex.quote(value)}" for name, value in sorted(env.items())),
+                        key])
     return key if config is None else f"{key}  # config.json: {config}"
 
 
-def run_case(argv: list[str], config: str | None) -> dict:
-    """Exit code, stdout (without the version line) and stderr of one ``cli.run``."""
+def run_case(argv: list[str], config: str | None, env: dict | None = None) -> dict:
+    """Exit code, stdout (without the version line) and stderr of one ``cli.run``, and
+    the files it wrote, if any."""
     out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
@@ -101,12 +128,16 @@ def run_case(argv: list[str], config: str | None) -> dict:
         try:
             if config is not None:
                 Path("config.json").write_text(config, encoding="utf-8")
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            with (mock.patch.dict(os.environ, env or {}), contextlib.redirect_stdout(out),
+                  contextlib.redirect_stderr(err)):
                 code = run(argv)
+            files = {path.name: path.read_text(encoding="utf-8")
+                     for path in sorted(Path(tmp).iterdir()) if path.name != "config.json"}
         finally:
             os.chdir(cwd)
-    return {"exit": code, "stdout": _VERSION_LINE.sub("", out.getvalue()),
-            "stderr": err.getvalue()}
+    got = {"exit": code, "stdout": _VERSION_LINE.sub("", out.getvalue()),
+           "stderr": err.getvalue()}
+    return {**got, "files": files} if files else got
 
 
 def load() -> dict:
@@ -131,15 +162,17 @@ def _one_case_per_line(doc: dict) -> str:
 def record() -> bool:
     doc = load() if CORPUS_PATH.exists() else {"recorded_with": _recorded_with(), "cases": {}}
     ok = True
-    for argv, config in CASES:
-        key = case_key(argv, config)
-        got = run_case(argv, config)
+    for case in CASES:
+        key = case_key(*case)
+        got = run_case(*case)
         entry = doc["cases"].get(key)
         if entry is None:
-            doc["cases"][key] = {"argv": argv, "config": config, **got}
+            argv, config, *env = case
+            doc["cases"][key] = {"argv": argv, "config": config,
+                                 **({"env": env[0]} if env else {}), **got}
             continue
         for field in FIELDS:
-            if entry[field] != got[field]:
+            if entry.get(field) != got.get(field):
                 print(f"{key}: {field} differs from the recorded reference", file=sys.stderr)
                 ok = False
     CORPUS_PATH.parent.mkdir(exist_ok=True)

@@ -383,7 +383,7 @@ class TestFailFast:
         assert run(["scan", "--set", "-1,1", "--threshold", "-1", "--depth", "1e-6"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: threshold must be finite and positive, got -1.0\n"
+        assert captured.err == "error: threshold must lie in (0, inf), got -1.0\n"
 
     def test_orbit_check_over_budget_exit_three_before_prefix(self, monkeypatch, capsys):
         def no_prefix(*args, **kwargs):
@@ -442,7 +442,8 @@ class TestModuleEntryPoint:
         # that never ends fails the test at the timeout instead of hanging it
         proc = self.run_module(*argv, "--set", "-1,1", "--eps", "1e-301", timeout=30)
         assert proc.returncode == 2
-        assert proc.stdout == "" and proc.stderr.startswith("error: eps must exceed 1e-300")
+        assert proc.stdout == "" and proc.stderr == (
+            "error: eps must lie in (1e-300, inf), got 1e-301\n")
 
 
 class TestOneProcess:

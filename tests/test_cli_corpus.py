@@ -11,11 +11,11 @@ CORPUS = load()["cases"]
 
 
 def test_every_case_is_recorded():
-    assert sorted(CORPUS) == sorted(case_key(argv, config) for argv, config in CASES)
+    assert sorted(CORPUS) == sorted(case_key(*case) for case in CASES)
 
 
 @pytest.mark.parametrize("key", sorted(CORPUS))
 def test_corpus_entry(key):
     entry = CORPUS[key]
-    got = run_case(entry["argv"], entry["config"])
-    assert got == {field: entry[field] for field in FIELDS}
+    got = run_case(entry["argv"], entry["config"], entry.get("env"))
+    assert got == {field: entry[field] for field in FIELDS if field in entry}

@@ -1,7 +1,10 @@
 import json
+import re
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from scipy import stats
 
@@ -64,12 +67,33 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("eps", [1e-301, 0.0, -1.0, float("nan")])
     def test_eps_follows_the_tail_floor_at_construction(self, eps):
-        # the same rule and message as every truncation: eps must exceed 1e-300
+        # the same rule and message as every truncation: 1e-300 < eps < inf
         with pytest.raises(ConfigError) as built:
             ExperimentConfig(M11, 2, 0, eps=eps)
         with pytest.raises(ConfigError) as evaluated:
             required_terms(1.0, 0.5, eps)
-        assert str(built.value) == str(evaluated.value) == f"eps must exceed 1e-300, got {eps!r}"
+        assert (str(built.value) == str(evaluated.value)
+                == f"eps must lie in (1e-300, inf), got {eps!r}")
+
+    @pytest.mark.parametrize("fields", [
+        {"num_samples": np.int64(2)},
+        {"master_seed": np.int64(3)},
+        {"threshold": np.float32(5)},
+        {"eps": Fraction(1, 100)},
+        {"grid": ScanGrid(delta_min=Fraction(1, 100))},
+        {"grid": ScanGrid(np.float32(0.125), np.float32(0.5), np.float32(0.0078125))},
+    ], ids=["samples_int64", "seed_int64", "threshold_float32", "eps_fraction",
+            "grid_fraction", "grid_float32"])
+    def test_report_holds_the_checked_python_numbers(self, fields):
+        # the config stores what its checks return, so the data section dumps
+        config = ExperimentConfig(**{"model": M11, "num_samples": 2, "master_seed": 3,
+                                     "grid": ScanGrid(delta_min=1e-2), **fields})
+        data = estimate_properties(config).data_dict()
+        json.dumps(data)
+        assert ([type(data[key]) for key in ("num_samples", "master_seed", "threshold", "eps")]
+                == [int, int, float, float])
+        assert {type(v) for v in data["grid"].values()} == {float}
+        assert {type(row["depth"]) for row in data["per_depth"]} == {float}
 
 
 class TestEstimateProperties:
@@ -293,5 +317,6 @@ class TestZeroOneDiagnostic:
     @pytest.mark.parametrize("depth,shown", [(0.0, "0.0"), (-1e-3, "-0.001"), (float("nan"), "nan")])
     def test_depth_not_above_zero_named(self, depth, shown):
         config = ExperimentConfig(M11, 1, 0)
-        with pytest.raises(ConfigError, match=f"depth {shown} must be > 0"):
+        message = f"depth must lie in (0, inf), got {shown}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
             zero_one_diagnostic(config, [depth], [1.0])

@@ -49,6 +49,7 @@ from randseries import (
     witness_positive,
     zero_one_diagnostic,
 )
+from randseries.boundary_scan import check_threshold
 from randseries.series_eval import (
     _BASE,
     _ORDER,
@@ -273,6 +274,8 @@ _PREFIX = PatternStream(M01, [1]).prefix(3)
 # cumulative weights 2^-70 and 2^-69 fall in one cell of the 64-bit sampling grid
 _FINE = parse_model("0,1,2", f"1/{2 ** 70},1/{2 ** 70},{2 ** 69 - 1}/{2 ** 69}")
 _K3_STREAM = SequenceStream(parse_model("-1,0,1"), 0)
+_GRID = ScanGrid(delta_min=1e-2)
+_WINDOW = (0.9, 0.99)
 
 
 @pytest.mark.parametrize("call", [
@@ -328,6 +331,28 @@ _K3_STREAM = SequenceStream(parse_model("-1,0,1"), 0)
     lambda: eval_truncated(ALL_ONES, 0.5, 2.5),
     lambda: ALL_ONES.prefix(2.5),
     lambda: apply_perm(_PREFIX, True),
+    lambda: eval_to_eps(ALL_ONES, "0.5", 0.01),
+    lambda: eval_to_eps(ALL_ONES, False, 0.01),
+    lambda: scan(ALL_ONES, _GRID, "0.01"),
+    lambda: eval_prefix(_PREFIX, "0.5"),
+    lambda: eval_abel_form(_PREFIX, "0.5"),
+    lambda: lower_bound_from_positive_walk(_PREFIX, "0.5", 0),
+    lambda: find_crossings(ALL_ONES, True, _WINDOW),
+    lambda: witness_positive(_PREFIX, True),
+    lambda: zero_one_diagnostic(ExperimentConfig(M11, 1, 0), ["1e-2"], [1.0]),
+    lambda: ExperimentConfig(M11, 2, 0, eps=math.inf),
+    lambda: ExperimentConfig(M11, 2, 0, threshold=True),
+    lambda: eval_to_eps(ALL_ONES, 0.9, math.inf),
+    lambda: eval_to_eps(ALL_ONES, 0.5, "0.01"),
+    lambda: ScanGrid(delta_min="1e-2"),
+    lambda: check_threshold("5"),
+    lambda: find_crossings(ALL_ONES, "0", _WINDOW),
+    lambda: find_crossings(ALL_ONES, 0.0, ("0.99", "0.999")),
+    lambda: witness_positive(_PREFIX, "1"),
+    lambda: required_terms("1", 0.5, 0.01),
+    lambda: wilson_interval(1.5, 3),
+    lambda: witness_positive(_PREFIX, 10 ** 400),
+    lambda: required_terms(10 ** 400, 0.5, 0.01),
 ], ids=["n_terms", "abel_x", "walk_x", "no_depths", "depth_order", "witness_m", "rotation",
         "orbit_exact_x", "witness_inf", "witness_minus_inf", "witness_nan", "empty_set_spec",
         "weights_finer_than_draws", "colliding_float_mirrors",
@@ -339,10 +364,26 @@ _K3_STREAM = SequenceStream(parse_model("-1,0,1"), 0)
         "seed_float", "seed_string", "sample_index_float", "head_float", "head_string",
         "witness_m_float", "walk_m_float", "walk_horizon_float", "grid_size_float",
         "samples_float", "workers_float", "experiment_seed_float", "domain_n_float",
-        "matching_n_float", "n_terms_float", "prefix_length_float", "rotation_bool"])
+        "matching_n_float", "n_terms_float", "prefix_length_float", "rotation_bool",
+        "x_string", "x_bool", "scan_eps_string", "prefix_x_string", "abel_x_string",
+        "walk_x_string", "crossings_y_bool", "witness_target_bool", "diagnostic_depth_string",
+        "experiment_eps_inf", "experiment_threshold_bool", "eps_inf", "eps_string",
+        "grid_string", "threshold_string", "crossings_y_string", "window_strings",
+        "witness_target_string", "max_abs_string", "wilson_successes_float",
+        "witness_target_beyond_floats", "max_abs_beyond_floats"])
 def test_bad_library_arguments_raise_config_error(call):
     with pytest.raises(ConfigError):
         call()
+
+
+@pytest.mark.parametrize("depths,message", [
+    (["1e-2", "1e-3"], "depth must be a real number, got '1e-2'"),
+    ([1e-2, 0.0], "depth must lie in (0, 1), got 0.0"),
+], ids=["strings", "zero"])
+def test_crossing_depths_are_checked_before_their_order(depths, message):
+    with pytest.raises(ConfigError) as exc:
+        crossing_counts_by_depth(ALL_ONES, 0.0, depths)
+    assert str(exc.value) == message
 
 
 def test_numpy_integer_arguments_pass():
@@ -351,6 +392,28 @@ def test_numpy_integer_arguments_pass():
             == lower_bound_from_positive_walk(p, 0.5, 2))
     stream, grid = SequenceStream(M11, 3, 0), ScanGrid(delta_min=1e-2)
     assert shift_effect_on_scan(stream, np.int64(3), grid) == shift_effect_on_scan(stream, 3, grid)
+
+
+def test_numpy_and_fraction_reals_pass():
+    # each is read as the equal Python float, and results hold Python floats
+    stream = SequenceStream(M11, 3, 0)
+    assert (eval_to_eps(stream, np.float64(0.9), np.float32(0.25))
+            == eval_to_eps(stream, Fraction(9, 10), Fraction(1, 4))
+            == eval_to_eps(stream, 0.9, 0.25))
+    assert (required_terms(np.float32(2), np.float64(0.5), Fraction(1, 1000))
+            == required_terms(2.0, 0.5, 1e-3))
+    grid = ScanGrid(np.float32(0.125), np.float64(0.5), Fraction(1, 1024))
+    assert grid == ScanGrid(0.125, 0.5, 1 / 1024)
+    assert all(type(row.x) is float for row in scan(stream, grid).rows)
+    assert scan(stream, grid) == scan(stream, ScanGrid(0.125, 0.5, 1 / 1024))
+    assert (find_crossings(stream, np.float64(0.0), (np.float32(0.75), Fraction(15, 16)))
+            == find_crossings(stream, 0.0, (0.75, 0.9375)))
+    p = PatternStream(M11, [1]).prefix(3)
+    assert witness_positive(p, np.float32(2)) == witness_positive(p, 2.0)
+    assert eval_prefix(p, np.float32(0.5)) == eval_prefix(p, 0.5)
+    assert (lower_bound_from_positive_walk(p, Fraction(1, 2), 1)
+            == lower_bound_from_positive_walk(p, 0.5, 1))
+    assert type(check_threshold(np.float32(5))) is float
 
 
 @pytest.mark.parametrize("spec", [f"{2 ** 900},{-2 ** 900}", f"{2 ** 900},{2 ** 899},{-2 ** 900}"],
@@ -448,6 +511,48 @@ class TestOneIntegerRule:
                   "class C:\n    def g(self, n):\n        return isinstance(n, (float, int))\n"
                   "from operator import index\nok = isinstance(n, bool) or isinstance(n, int)\n")
         assert [scope for scope, _ in _integer_rule_uses(source)] == ["f", "C.g", "", ""]
+
+
+_REAL_RULE_NAMES = {"math": {"isfinite", "isnan", "isinf"}, "numbers": {"Real"}}
+
+
+def _real_rule_uses(source: str) -> list[tuple[str, int]]:
+    """(enclosing def or class path, line) of every ``math.isfinite``, ``math.isnan``,
+    ``math.isinf`` and ``numbers.Real``, as an attribute or imported by name, in ``source``."""
+    uses = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            found = False
+            if isinstance(child, ast.Attribute) and isinstance(child.value, ast.Name):
+                found = child.attr in _REAL_RULE_NAMES.get(child.value.id, ())
+            elif isinstance(child, ast.ImportFrom):
+                found = any(a.name in _REAL_RULE_NAMES.get(child.module, ()) for a in child.names)
+            if found:
+                uses.append((".".join(scope), child.lineno))
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return uses
+
+
+class TestOneRealRule:
+    def test_real_arguments_are_checked_in_check_real_only(self):
+        # every x, eps, threshold, depth, target and bound goes through errors.check_real
+        sites = {(path.stem, scope)
+                 for path in sorted(Path(randseries.__file__).parent.glob("*.py"))
+                 for scope, _ in _real_rule_uses(path.read_text(encoding="utf-8"))}
+        assert sites == {("errors", "check_real")}
+
+    def test_the_guard_sees_each_form(self):
+        source = ("def f(x):\n    return math.isfinite(x)\n"
+                  "class C:\n    def g(self, x):\n        return math.isnan(x) or math.isinf(x)\n"
+                  "from math import isfinite, log\nfrom numbers import Real\n"
+                  "ok = isinstance(x, numbers.Real) and math.log(x) < 0\n")
+        assert [scope for scope, _ in _real_rule_uses(source)] == ["f", "C.g", "C.g", "", "", ""]
 
 
 def _counting(monkeypatch, module, name) -> list:
