@@ -49,7 +49,8 @@ class ScanGrid:
         for key in ("delta_start", "ratio", "delta_min"):
             object.__setattr__(self, key, check_real(getattr(self, key), key, 0.0, 1.0))
         if not self.delta_min <= self.delta_start:
-            raise ConfigError("need 0 < delta_min <= delta_start < 1")
+            raise ConfigError(f"delta_min must not exceed delta_start, "
+                              f"got {self.delta_min!r} > {self.delta_start!r}")
 
     def size(self) -> int:
         """Number of grid points, in closed form: the first m with

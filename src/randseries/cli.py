@@ -294,8 +294,9 @@ def _parse_window(spec: str) -> tuple[float, float]:
         hi, lo = (float(p) for p in spec.split(":"))
     except ValueError:
         raise ConfigError(f"window must look like '1e-2:1e-6', got {spec!r}")
-    if not (0.0 < lo < hi < 1.0):
-        raise ConfigError("window depths must satisfy 0 < deep < shallow < 1")
+    hi, lo = (check_real(d, f"window {spec!r} depth", 0.0, 1.0) for d in (hi, lo))
+    if not lo < hi:
+        raise ConfigError(f"window must be shallow:deep with deep < shallow, got {spec!r}")
     return 1.0 - hi, 1.0 - lo
 
 

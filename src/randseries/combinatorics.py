@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .boundary_scan import DEFAULT_EPS, ScanGrid, scan
-from .coefficients import _BLOCK, CoefficientModel, FinitePrefix, PatchedStream
+from .coefficients import CoefficientModel, FinitePrefix, PatchedStream
 from .errors import ConfigError, check_int
 from .series_eval import check_terms
 
@@ -42,6 +42,9 @@ __all__ = [
 ]
 
 _MAX_VIOLATIONS = 10        # violations a MatchingReport lists at most
+# words a chunk holds at most: a chunk's (N, W) arrays then fit a core's L2 cache,
+# and ran faster than chunks of 2^16 words
+_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -175,13 +178,30 @@ def _word_chunks(model: CoefficientModel, n: int):
         j += 1
     lead, width = n - j, k ** j
     words = np.empty((n, width), dtype=np.min_scalar_type(k - 1))
-    words[lead:] = np.indices((k,) * j, dtype=words.dtype).reshape(j, width)
+    letters = np.arange(k, dtype=words.dtype)[:, None]
+    for r in range(j):
+        # trailing digit r holds each letter for k^(j-1-r) words, k^r times over
+        words[lead + r].reshape(k ** r, k, k ** (j - 1 - r))[:] = letters
 
     def chunk(number: int) -> tuple[int, np.ndarray]:
         words[:lead] = np.array(np.unravel_index(number, (k,) * lead))[:, None]
         return number * width, words
 
     return map(chunk, range(k ** lead))
+
+
+def _repeats(codes: np.ndarray, seen: np.ndarray) -> np.ndarray:
+    """Flags each code met before, earlier in ``codes`` or in ``seen``, so that of
+    equal codes the first stays unflagged; then marks every code in ``seen``."""
+    # sorted (code, position) keys put equal codes side by side in order.  The key
+    # cannot overflow: seen has allocated k^N bytes, so a code is below 2^48, and
+    # the at most 2^14 positions of a chunk take b <= 15 bits
+    b = len(codes).bit_length()
+    keys = np.sort(codes << b | np.arange(len(codes)))
+    repeated = seen[codes]
+    repeated[keys[1:][keys[1:] >> b == keys[:-1] >> b] & ((1 << b) - 1)] = True
+    seen[codes] = True
+    return repeated
 
 
 def domain_fraction(model: CoefficientModel, n: int) -> Fraction:
@@ -242,23 +262,18 @@ def verify_matching(model: CoefficientModel, n: int) -> MatchingReport:
     ok = dict.fromkeys(("injectivity", "sum_shift", "inverse", "measure"), True)
     violations: list = []
     for first_word, words in chunks:
+        width = words.shape[1]
         up, _ = _flips(words)
         cols = np.flatnonzero(up >= 0)
         matched += len(cols)
-        word = np.take(words, cols, axis=1)
         flip = up[cols]
-        at = np.arange(len(cols))
-        old = word[flip, at]                 # the letter each flip overwrites
-        image = word.copy()
-        image[flip, at] = 1
+        cells = flip.astype(np.intp) * width + cols     # flat cells of the flips
+        old = words.ravel()[cells]           # the letter each flip overwrites
+        image = words.copy()
+        image.ravel()[cells] = 1
 
         codes = first_word + cols + (1 - old.astype(np.int64)) * place[flip]
-        # a repeat is flagged at the later word: after an earlier one in this chunk,
-        # or after one in an earlier chunk
-        repeated = np.ones(len(cols), dtype=bool)
-        repeated[np.unique(codes, return_index=True)[1]] = False
-        repeated |= seen[codes]
-        seen[codes] = True
+        repeated = _repeats(codes, seen)
 
         # a flip adds one d_2 and removes the overwritten letter, so the sum moves
         # by scaled[1] - scaled[old]; P scales by exactly p2/p1 only when old is d_1
@@ -266,8 +281,10 @@ def verify_matching(model: CoefficientModel, n: int) -> MatchingReport:
         measure_ok = old == 0
 
         _, down = _flips(image)
-        image[down, at] = 0
-        inv_ok = (down >= 0) & (image == word).all(axis=0)
+        down = down[cols]
+        # a down of -1 writes the last row, in a column that fails on down >= 0 anyway
+        image.ravel()[down.astype(np.intp) * width + cols] = 0
+        inv_ok = (down >= 0) & (image == words).all(axis=0)[cols]
 
         flagged = []
         for kind, bad in zip(ok, (repeated, ~sum_ok, ~inv_ok, ~measure_ok)):
@@ -276,7 +293,7 @@ def verify_matching(model: CoefficientModel, n: int) -> MatchingReport:
             flagged.extend((int(r), kind) for r in rows[:_MAX_VIOLATIONS])
         flagged.sort(key=lambda v: v[0])
         # chunks come in word order, so the first _MAX_VIOLATIONS so far stay first
-        violations.extend((kind, tuple(int(i) for i in word[:, r]))
+        violations.extend((kind, tuple(int(i) for i in words[:, cols[r]]))
                           for r, kind in flagged[:_MAX_VIOLATIONS - len(violations)])
 
     ratio = model.weights[1] / model.weights[0]

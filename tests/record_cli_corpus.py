@@ -49,6 +49,9 @@ CASES = [
     (["witness", "--set", "-2,1/3,1,5/7", "--prefix", "5/7,-2,1/3,-2", "--target", "2.5"], None),
     (["bijection", "verify", "--set", "-1,1", "--n", "10"], None),
     (["bijection", "verify", "--set", "-1,0,1", "--n", "6"], None),
+    # the benchmark's bijection pool, whose data sections it records under perfbench/references
+    (["bijection", "verify", "--set", "-1,1", "--weights", "1/4,3/4", "--n", "16"], None),
+    (["bijection", "verify", "--set", "-1,0,1", "--n", "10"], None),
     # inputs these commands reject with exit 2
     (["orbit-check", "--set", "-1,1", "--x", "1.5"], None),
     (["orbit-check", "--set", "1e308,-1e308", "--n", "1000"], None),
@@ -93,6 +96,7 @@ CASES = [
     (["crossings", "--set", "-1,1", "--max-brackets", "0"], None),
     (["crossings", "--set", "-1,1", "--max-brackets", "-3"], None),
     (["crossings", "--set", "-1,1", "--window", "1e-5:1e-2"], None),
+    (["crossings", "--set", "-1,1", "--window", "1e-2:0"], None),
     *[(["scan", "--set", "-1,1", "--config", "config.json"], text)
       for text in ("[1]", '{"scan": {"seed": "abc"}}', '{"scan": 5}',
                    '{"scan": {"dept": 1e-3}}')],
@@ -104,6 +108,7 @@ CASES = [
       for budget in ("abc", "0", "-5", "0.5", "1e400")],
     (["scan", "--set", "-1,1", "--threshold", "-1", "--depth", "1e-6"], None),
     (["scan", "--set", "-1,1", "--depth", "0"], None),
+    (["scan", "--set", "-1,1", "--depth", "0.5"], None),
     (["scan", "--set", "-1,1", "--ratio", "1"], None),
     (["crossings", "--set", "-1,1", "--y", "nan"], None),
     (["scan", "--set", "-1,1", "--depth", "1e-5", "--svg", "plot.svg"], None),

@@ -179,10 +179,11 @@ class TestDomainFraction:
 
     def test_word_budget_counts_cells_before_allocating(self, monkeypatch):
         # 2^22 words fit a word count of 5e7, but 2^22 * 22 array cells do not
-        def no_indices(*args, **kwargs):
+        def no_allocation(*args, **kwargs):
             raise AssertionError("the words were allocated")
 
-        monkeypatch.setattr(np, "indices", no_indices)
+        monkeypatch.setattr(np, "empty", no_allocation)
+        monkeypatch.setattr(np, "zeros", no_allocation)
         with pytest.raises(BudgetExceededError) as exc:
             verify_matching(M11, 22)
         assert exc.value.required == 2 ** 22 * 22
@@ -267,14 +268,15 @@ SWEEP_N = {2: 14, 3: 9, 4: 7}
 
 
 class TestChunkBoundaries:
-    # every sweep length fits one default chunk of at most 2^16 words
-
     @pytest.mark.parametrize("spec,weights", SWEEP)
     def test_small_chunks_give_the_one_chunk_report(self, monkeypatch, spec, weights):
         model = parse_model(spec, weights)
         lengths = range(1, SWEEP_N[model.k] + 1)
-        whole = [(verify_matching(model, n).to_data(), domain_fraction(model, n))
-                 for n in lengths]
+        whole = []
+        for n in lengths:
+            # one chunk of all k^N words, which may exceed the default chunk
+            monkeypatch.setattr(combinatorics, "_BLOCK", model.k ** n)
+            whole.append((verify_matching(model, n).to_data(), domain_fraction(model, n)))
         monkeypatch.setattr(combinatorics, "_BLOCK", model.k ** 4)
         assert [(verify_matching(model, n).to_data(), domain_fraction(model, n))
                 for n in lengths] == whole
@@ -295,9 +297,48 @@ class TestChunkBoundaries:
         assert ("injectivity", (0, 0, 0, 0)) not in chunked.violations
 
 
+class TestWordChunks:
+    @pytest.mark.parametrize("spec", ["-1,1", "-1,0,1", "-1,0,1,2"])
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 8, 9, 64, 100, 2 ** 14])
+    def test_chunks_enumerate_the_lexicographic_words(self, monkeypatch, spec, chunk):
+        model = parse_model(spec)
+        k = model.k
+        monkeypatch.setattr(combinatorics, "_BLOCK", chunk)
+        for n in range(1, 8):
+            # the chunk holds the largest power k^j <= chunk words, j <= N
+            width = max(k ** j for j in range(n + 1) if k ** j <= chunk)
+            chunks = [(first, words.copy())
+                      for first, words in combinatorics._word_chunks(model, n)]
+            assert [first for first, _ in chunks] == list(range(0, k ** n, width))
+            assert all(words.shape == (n, width) for _, words in chunks)
+            got = np.concatenate([words for _, words in chunks], axis=1)
+            assert np.array_equal(got, np.indices((k,) * n).reshape(n, k ** n))
+
+
+class TestRepeats:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_flags_are_the_codes_met_before(self, data):
+        # few codes and chunks longer than that force repeats inside a chunk and
+        # across chunks
+        size = data.draw(st.integers(1, 12))
+        chunks = data.draw(st.lists(st.lists(st.integers(0, size - 1), max_size=20),
+                                    min_size=1, max_size=6))
+        seen = np.zeros(size, dtype=bool)
+        met = []
+        for chunk in chunks:
+            flags = combinatorics._repeats(np.array(chunk, dtype=np.int64), seen)
+            expected = []
+            for code in chunk:
+                expected.append(code in met)      # equal to an earlier code
+                met.append(code)
+            assert flags.tolist() == expected
+            assert seen.tolist() == [code in met for code in range(size)]
+
+
 class TestMatchingMemory:
     def test_peak_stays_bounded_at_n_20(self):
-        # 2^20 words: a k^N-byte seen array plus chunks of 2^16 words, not k^N * N cells
+        # 2^20 words: a k^N-byte seen array plus chunks of 2^14 words, not k^N * N cells
         tracemalloc.start()
         try:
             report = verify_matching(M11, 20)
@@ -305,7 +346,7 @@ class TestMatchingMemory:
         finally:
             tracemalloc.stop()
         assert report.injective and report.total_words == 2 ** 20
-        assert peak <= 32 * 2 ** 20
+        assert peak <= 6 * 2 ** 20
 
 
 class TestWordProperties:
