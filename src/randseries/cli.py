@@ -342,10 +342,18 @@ _HANDLERS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors raise ``ConfigError``, which ``run`` reports in
+    one line; its subcommand parsers take the class too."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 @functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="randseries",
         description="Simulate random power series near x = 1 with certified bounds.",
     )
@@ -366,17 +374,19 @@ _BARE_FLAGS = {"-h", "--help", "--version"}
 
 
 def _fuse_flag_values(argv: list[str]) -> list[str]:
-    """Rewrite ``--flag value`` as ``--flag=value``.
+    """Rewrite ``--flag value`` as ``--flag=value`` where the value starts with a dash.
 
     Every option here takes exactly one value, and coefficient lists like
     ``--set "-1,1"`` start with a dash, which bare argparse would otherwise
-    mistake for an option string.
+    mistake for an option string.  Other values stay apart, so an error names
+    the flags as they were given.
     """
     out = []
     i = 0
     while i < len(argv):
         a = argv[i]
-        if a.startswith("--") and "=" not in a and a not in _BARE_FLAGS and i + 1 < len(argv):
+        if (a.startswith("--") and "=" not in a and a not in _BARE_FLAGS and i + 1 < len(argv)
+                and argv[i + 1].startswith("-")):
             out.append(f"{a}={argv[i + 1]}")
             i += 2
         else:
@@ -393,9 +403,6 @@ def run(argv: Optional[list[str]] = None) -> int:
         argv = sys.argv[1:]
     try:
         ns = parser.parse_args(_fuse_flag_values(list(argv)))
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
         merged = _merged_config(ns.command, ns)
         model = _model_from(merged, ns.command)
         doc, summary = _HANDLERS[ns.command](merged, model)
@@ -406,6 +413,8 @@ def run(argv: Optional[list[str]] = None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except SystemExit as exc:     # --help and --version
+        return int(exc.code or 0)
     if summary:
         print(summary, file=sys.stderr)
     return 0

@@ -301,11 +301,6 @@ class FinitePrefix:
         return cls(model, [model.index_of(v) for v in values])
 
 
-def _check_position(n: int) -> None:
-    if n < 1:
-        raise ConfigError(f"coefficient positions start at 1, got {n}")
-
-
 class _Stream:
     """Coefficient stream behaviour derived from the one primitive ``index_range``.
 
@@ -323,7 +318,7 @@ class _Stream:
         of the smallest unsigned type that holds k - 1.
 
         Raises:
-            ConfigError: if lo < 1.
+            ConfigError: if lo or hi is not an integer, or lo < 1.
         """
         raise NotImplementedError
 
@@ -332,7 +327,7 @@ class _Stream:
 
     def index_array(self, n_terms: int) -> np.ndarray:
         """Value indices of coefficients a_1..a_N as an array."""
-        return self.index_range(1, n_terms + 1)
+        return self.index_range(1, check_int(n_terms, "prefix length", 0) + 1)
 
     def index_prefix(self, n_terms: int) -> tuple[int, ...]:
         return tuple(self.index_array(n_terms).tolist())
@@ -349,6 +344,7 @@ class _Stream:
         _BLOCK at a time.  Views handed out earlier keep their values, since
         any prefix drawn again is bit-identical.
         """
+        n_terms = check_int(n_terms, "prefix length", 0)
         if n_terms > self._floats.shape[0]:
             floats = np.empty(n_terms, dtype=np.float64)
             for lo in range(0, n_terms, _BLOCK):
@@ -377,7 +373,7 @@ class SequenceStream(_Stream):
 
     def draw_at(self, n: int) -> int:
         """Raw 64-bit uniform draw behind the n-th coefficient (n >= 1)."""
-        _check_position(n)
+        n = check_int(n, "coefficient position", 1)
         return _mix64((self._key + n * _GOLDEN) & _MASK64)
 
     def index_at(self, n: int) -> int:
@@ -388,8 +384,8 @@ class SequenceStream(_Stream):
         # SplitMix64 of key + n * golden, block by block in reused buffers; the
         # value index is the number of thresholds at or below the draw.  When
         # every threshold is a multiple of 2^33 the mixer's last step is skipped.
-        lo, hi = int(lo), int(hi)
-        _check_position(lo)
+        lo = check_int(lo, "coefficient position", 1)
+        hi = check_int(hi, "coefficient range end")
         model = self.model
         count = max(hi - lo, 0)
         out = np.empty(count, dtype=np.min_scalar_type(model.k - 1))
@@ -420,8 +416,7 @@ class PatchedStream(_Stream):
         self.head_indices = FinitePrefix(self.model, head_indices).indices
 
     def index_range(self, lo: int, hi: int) -> np.ndarray:
-        _check_position(lo)
-        out = self.base.index_range(lo, hi)
+        out = self.base.index_range(lo, hi)     # checks the positions
         stop = min(len(self.head_indices), hi - 1)
         if lo <= stop:
             out[:stop - lo + 1] = self.head_indices[lo - 1:stop]

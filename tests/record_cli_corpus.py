@@ -6,10 +6,12 @@ Usage, from the repository root, at the commit whose outputs are the reference:
 
 Each case runs in-process through ``cli.run``, in a fresh temporary working
 directory (a case with a config file gets it there as ``config.json``), with
-the case's environment variables, if any, set for the run.  The ``version``
-line of the provenance header is left out of the recorded stdout, so a
-version bump alone does not change an entry.  A file the case writes there
-(an ``--svg`` plot) is recorded under ``files``.
+the case's environment variables, if any, set for the run.  The package
+version in the provenance header (``"version": "..."`` of a JSON document,
+``# randseries ...`` of a CSV one) is recorded as the token ``<version>``, so
+a version bump alone does not change an entry and a recorded document still
+parses.  A file the case writes there (an ``--svg`` plot) is recorded under
+``files``.  To add a case, append it to ``CASES`` and run the script.
 
 Entries already recorded are never replaced.  The script re-runs them and
 exits with 1 if any output differs, so a difference is reported, not re-pinned.
@@ -36,7 +38,7 @@ from randseries.cli import run
 
 CORPUS_PATH = Path(__file__).parent / "data" / "cli_corpus.json"
 FIELDS = ("exit", "stdout", "stderr", "files")
-_VERSION_LINE = re.compile(r'^    "version": .*\n', re.MULTILINE)
+_VERSION = re.compile(r'^(    "version": "|# randseries )[^"\n]*', re.MULTILINE)
 
 _ORBIT_SETS = ["-1,1", "0,1", "-1,0,1", "-2,1/3,1,5/7", "1e-3,-7,2"]
 
@@ -112,6 +114,19 @@ CASES = [
     (["scan", "--set", "-1,1", "--ratio", "1"], None),
     (["crossings", "--set", "-1,1", "--y", "nan"], None),
     (["scan", "--set", "-1,1", "--depth", "1e-5", "--svg", "plot.svg"], None),
+    # a model, a config file or a window that cannot be read, and argparse's own errors
+    (["estimate", "--set", "1"], None),
+    (["scan", "--depth", "1e-2"], None),
+    (["scan", "--set", "0,1", "--config", "nope.json"], None),
+    (["crossings", "--set", "-1,1", "--window", "oops"], None),
+    (["scan", "--set", "-1,1", "--seed", "abc"], None),
+    (["bijection", "check", "--set", "-1,1", "--n", "3"], None),
+    (["scan", "--set", "0,1", "--no-such-flag", "1"], None),
+    (["nosuch"], None),
+    # scans whose CSV goes to stdout, with their verdict lines
+    (["scan", "--set", "1,2", "--depth", "1e-3", "--threshold", "5"], None),
+    (["scan", "--set", "-1,1", "--seed", "0", "--depth", "1e-3"], None),
+    (["scan", "--set", "0,1", "--depth", "1e-2"], None),
 ]
 
 
@@ -124,7 +139,7 @@ def case_key(argv: list[str], config: str | None, env: dict | None = None) -> st
 
 
 def run_case(argv: list[str], config: str | None, env: dict | None = None) -> dict:
-    """Exit code, stdout (without the version line) and stderr of one ``cli.run``, and
+    """Exit code, stdout (with the version token) and stderr of one ``cli.run``, and
     the files it wrote, if any."""
     out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
@@ -140,7 +155,7 @@ def run_case(argv: list[str], config: str | None, env: dict | None = None) -> di
                      for path in sorted(Path(tmp).iterdir()) if path.name != "config.json"}
         finally:
             os.chdir(cwd)
-    got = {"exit": code, "stdout": _VERSION_LINE.sub("", out.getvalue()),
+    got = {"exit": code, "stdout": _VERSION.sub(r"\g<1><version>", out.getvalue()),
            "stderr": err.getvalue()}
     return {**got, "files": files} if files else got
 

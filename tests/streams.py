@@ -6,6 +6,7 @@ import numpy as np
 
 from randseries import ConfigError
 from randseries.coefficients import CoefficientModel, _Stream
+from randseries.errors import check_int
 
 
 class PatternStream(_Stream):
@@ -20,5 +21,6 @@ class PatternStream(_Stream):
         self.pattern = tuple(int(i) for i in pattern)
 
     def index_range(self, lo: int, hi: int) -> np.ndarray:
+        lo = check_int(lo, "coefficient position", 1)
         cycle = np.array(self.pattern, dtype=np.min_scalar_type(self.model.k - 1))
         return cycle[(np.arange(lo, hi) - 1) % len(cycle)]

@@ -59,13 +59,6 @@ class TestScanCommand:
         assert code == 0
         assert read(svg).startswith("<svg ")
 
-    def test_budget_exceeded_exit_three(self, tmp_path, capsys):
-        code = run(["scan", "--set", "-1,1", "--depth", "1e-9",
-                    "--out", str(tmp_path / "x.csv")])
-        assert code == 3
-        err = capsys.readouterr().err
-        assert "required" in err          # names the required N
-
     def test_stdout_when_no_out(self, capsys):
         assert run(["scan", "--set", "0,1", "--depth", "1e-2"]) == 0
         assert "running_sup_lower" in capsys.readouterr().out
@@ -174,9 +167,6 @@ class TestBijectionCommand:
         data = json.loads(read(out))["data"]
         assert data["measure_ratio"] == "3"
 
-    def test_missing_n_exit_two(self):
-        assert run(["bijection", "verify", "--set", "-1,1"]) == 2
-
 
 class TestOrbitCheckCommand:
     def test_zero_sum_alphabet(self, capsys):
@@ -233,12 +223,6 @@ class TestWitnessCommand:
         assert data["margin"] > 0
         assert data["x_expression"] == f"1-2^-{data['t']}"
 
-    def test_prefix_outside_set_exit_two(self):
-        assert run(["witness", "--set", "-1,1", "--prefix", "2", "--target", "1"]) == 2
-
-    def test_impossible_witness_exit_two(self, capsys):
-        assert run(["witness", "--set", "-1,0", "--prefix", "0", "--target", "1"]) == 2
-
 
 # subcommand -> (leading arguments, options given as flags or as a config file)
 EMISSION_CASES = {
@@ -285,6 +269,22 @@ class TestSingleEmission:
         assert {key: echoed[key] for key in options} == options
 
 
+def _forbid(monkeypatch, target, name, what):
+    """Replace ``target.name`` by a function that fails the test: ``what`` happened."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError(what)
+
+    monkeypatch.setattr(target, name, forbidden)
+
+
+def _error_line(capsys) -> str:
+    """The stderr of a failed run, checked to be one ``error: `` line with no stdout."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    return captured.err
+
+
 class TestFailFast:
     @pytest.mark.parametrize("argv,env", [
         (["orbit-check", "--set", "-1,1", "--x", "1.5"], {}),
@@ -328,21 +328,13 @@ class TestFailFast:
             path.write_text(argv[i], encoding="utf-8")
             argv = argv[:i] + [str(path)] + argv[i + 1:]
         assert run(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        _error_line(capsys)
 
     def test_estimate_over_budget_exit_three_before_sampling(self, monkeypatch, capsys):
-        def no_scan(*args, **kwargs):
-            raise AssertionError("a sample was scanned")
-
-        monkeypatch.setattr(montecarlo, "scan", no_scan)
+        _forbid(monkeypatch, montecarlo, "scan", "a sample was scanned")
         assert run(["estimate", "--set", "-1,1", "--samples", "4", "--workers", "1",
                     "--depth", "1e-9"]) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-        assert "required" in captured.err
+        assert "required" in _error_line(capsys)
 
     @pytest.mark.parametrize("module,argv", [
         (boundary_scan, ["scan", "--set", "-1,1", "--depth", "1e-9"]),
@@ -350,63 +342,36 @@ class TestFailFast:
     ])
     def test_grid_over_budget_exit_three_before_evaluating(self, module, argv,
                                                             monkeypatch, capsys):
-        def no_eval(*args, **kwargs):
-            raise AssertionError("a grid point was evaluated")
-
-        monkeypatch.setattr(module, "eval_to_eps", no_eval)
+        _forbid(monkeypatch, module, "eval_to_eps", "a grid point was evaluated")
         assert run(argv) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-        assert f"{argv[0]} grid point" in captured.err
+        assert f"{argv[0]} grid point" in _error_line(capsys)
 
     @pytest.mark.parametrize("ratio", ["0.999999", "0.9999999999999999"])
     def test_grid_point_count_over_budget_exit_three(self, ratio, monkeypatch, capsys):
-        def no_eval(*args, **kwargs):
-            raise AssertionError("a grid point was evaluated")
-
-        monkeypatch.setattr(boundary_scan, "eval_to_eps", no_eval)
+        _forbid(monkeypatch, boundary_scan, "eval_to_eps", "a grid point was evaluated")
         start = time.perf_counter()
         assert run(["scan", "--set", "-1,1", "--delta-start", "0.5", "--ratio", ratio,
                     "--depth", "1e-5"]) == 3
         assert time.perf_counter() - start < 5.0     # no grid list is built
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-        assert "scan grid point count" in captured.err
+        assert "scan grid point count" in _error_line(capsys)
 
     def test_scan_bad_threshold_exit_two_before_scanning(self, monkeypatch, capsys):
-        def no_eval(*args, **kwargs):
-            raise AssertionError("a grid point was evaluated")
-
-        monkeypatch.setattr(boundary_scan, "eval_to_eps", no_eval)
+        _forbid(monkeypatch, boundary_scan, "eval_to_eps", "a grid point was evaluated")
         assert run(["scan", "--set", "-1,1", "--threshold", "-1", "--depth", "1e-6"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: threshold must lie in (0, inf), got -1.0\n"
+        assert _error_line(capsys) == "error: threshold must lie in (0, inf), got -1.0\n"
 
     def test_orbit_check_over_budget_exit_three_before_prefix(self, monkeypatch, capsys):
-        def no_prefix(*args, **kwargs):
-            raise AssertionError("the prefix was built")
-
         monkeypatch.setenv("RANDSERIES_TERM_BUDGET", "1000")
-        monkeypatch.setattr(SequenceStream, "prefix", no_prefix)
+        _forbid(monkeypatch, SequenceStream, "prefix", "the prefix was built")
         assert run(["orbit-check", "--set", "-1,1", "--n", "1001"]) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "required 1001 > budget 1000" in captured.err
+        assert "required 1001 > budget 1000" in _error_line(capsys)
 
     def test_witness_grid_over_budget_exit_three_before_allocating(self, monkeypatch,
                                                                    capsys):
-        def no_arange(*args, **kwargs):
-            raise AssertionError("the grid was allocated")
-
         monkeypatch.setenv("RANDSERIES_TERM_BUDGET", "1000")
-        monkeypatch.setattr(witnesses.np, "arange", no_arange)
+        _forbid(monkeypatch, witnesses.np, "arange", "the grid was allocated")
         assert run(["witness", "--set", "-1,1", "--prefix", "1", "--grid-size", "1000"]) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "required 1001 > budget 1000" in captured.err
+        assert "required 1001 > budget 1000" in _error_line(capsys)
 
     def test_bijection_over_word_budget_exit_three(self, capsys):
         assert run(["bijection", "verify", "--set", "-1,1", "--n", "22"]) == 3

@@ -353,6 +353,15 @@ _WINDOW = (0.9, 0.99)
     lambda: wilson_interval(1.5, 3),
     lambda: witness_positive(_PREFIX, 10 ** 400),
     lambda: required_terms(10 ** 400, 0.5, 0.01),
+    lambda: _K3_STREAM.index_range(1.5, 4),
+    lambda: _K3_STREAM.index_range(True, 4),
+    lambda: _K3_STREAM.index_range(1, 4.0),
+    lambda: _K3_STREAM.index_at(2.5),
+    lambda: _K3_STREAM.draw_at(0),
+    lambda: _K3_STREAM.index_array(2.5),
+    lambda: _K3_STREAM.index_array(-2),
+    lambda: (_K3_STREAM.float_coefficients(10), _K3_STREAM.float_coefficients(-1)),
+    lambda: PatchedStream(_K3_STREAM, [1]).index_range(1.5, 4),
 ], ids=["n_terms", "abel_x", "walk_x", "no_depths", "depth_order", "witness_m", "rotation",
         "orbit_exact_x", "witness_inf", "witness_minus_inf", "witness_nan", "empty_set_spec",
         "weights_finer_than_draws", "colliding_float_mirrors",
@@ -370,7 +379,9 @@ _WINDOW = (0.9, 0.99)
         "experiment_eps_inf", "experiment_threshold_bool", "eps_inf", "eps_string",
         "grid_string", "threshold_string", "crossings_y_string", "window_strings",
         "witness_target_string", "max_abs_string", "wilson_successes_float",
-        "witness_target_beyond_floats", "max_abs_beyond_floats"])
+        "witness_target_beyond_floats", "max_abs_beyond_floats", "position_float",
+        "position_bool", "range_end_float", "index_at_float", "draw_position_zero",
+        "index_array_float", "index_array_negative", "floats_negative", "patched_position_float"])
 def test_bad_library_arguments_raise_config_error(call):
     with pytest.raises(ConfigError):
         call()
@@ -392,6 +403,13 @@ def test_numpy_integer_arguments_pass():
             == lower_bound_from_positive_walk(p, 0.5, 2))
     stream, grid = SequenceStream(M11, 3, 0), ScanGrid(delta_min=1e-2)
     assert shift_effect_on_scan(stream, np.int64(3), grid) == shift_effect_on_scan(stream, 3, grid)
+    assert type(stream.draw_at(np.int64(5))) is int
+    assert stream.draw_at(np.int64(5)) == stream.draw_at(5)
+    assert stream.index_at(np.int64(2)) == stream.index_at(2)
+    patched = PatchedStream(stream, [0])
+    assert (patched.index_range(np.int64(1), np.int64(70_000)).tolist()
+            == patched.index_range(1, 70_000).tolist())
+    assert stream.index_array(np.int64(9)).tolist() == stream.index_array(9).tolist()
 
 
 def test_numpy_and_fraction_reals_pass():
@@ -441,110 +459,93 @@ def test_every_path_stays_finite_at_the_size_bound(spec):
         assert len(report.indeterminate_points) < report.grid_size
 
 
-def _budget_error_sites() -> set[tuple[str, str]]:
-    """(module, enclosing def or class path) of every ``BudgetExceededError(...)`` call."""
-    sites = set()
+def _rule_sites(accepts, sources: dict[str, str] | None = None) -> list[tuple[str, str, int]]:
+    """(module, enclosing def or class path, line) of every node that
+    ``accepts(node, params)`` accepts, ``params`` being the parameter names of the
+    enclosing def.  ``sources`` maps module names to source text; by default they
+    are the package's modules."""
+    if sources is None:
+        sources = {path.stem: path.read_text(encoding="utf-8")
+                   for path in sorted(Path(randseries.__file__).parent.glob("*.py"))}
+    sites = []
 
-    def visit(node, module, scope):
+    def visit(node, module, scope, params):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                visit(child, module, scope + (child.name,))
-                continue
-            if isinstance(child, ast.Call):
-                func = child.func
-                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                if name == "BudgetExceededError":
-                    sites.add((module, ".".join(scope)))
-            visit(child, module, scope)
+            if accepts(child, params):
+                sites.append((module, ".".join(scope), child.lineno))
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = {a.arg for a in ast.walk(child.args) if isinstance(a, ast.arg)}
+                visit(child, module, scope + (child.name,), names)
+            elif isinstance(child, ast.ClassDef):
+                visit(child, module, scope + (child.name,), set())
+            else:
+                visit(child, module, scope, params)
 
-    for path in sorted(Path(randseries.__file__).parent.glob("*.py")):
-        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, ())
+    for module, source in sources.items():
+        visit(ast.parse(source), module, (), set())
     return sites
+
+
+def _budget_error(node, params) -> bool:
+    return (isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None))
+            == "BudgetExceededError")
 
 
 class TestOneBudgetHome:
     def test_budget_errors_are_built_in_two_places_only(self):
         # every work budget goes through check_terms; the grid-point cap is the other one
-        assert _budget_error_sites() == {("series_eval", "check_terms"),
-                                         ("boundary_scan", "ScanGrid.deltas")}
+        assert {(module, scope) for module, scope, _ in _rule_sites(_budget_error)} == {
+            ("series_eval", "check_terms"), ("boundary_scan", "ScanGrid.deltas")}
 
 
-def _integer_rule_uses(source: str) -> list[tuple[str, int]]:
-    """(enclosing def or class path, line) of every ``operator.index`` and
-    ``isinstance(<arg>, int)`` (alone or in a tuple of types) in ``source``."""
-    uses = []
-
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                visit(child, scope + (child.name,))
-                continue
-            found = False
-            if isinstance(child, ast.Attribute):
-                found = (child.attr == "index" and isinstance(child.value, ast.Name)
-                         and child.value.id == "operator")
-            elif isinstance(child, ast.ImportFrom):
-                found = child.module == "operator" and any(a.name == "index" for a in child.names)
-            elif (isinstance(child, ast.Call) and getattr(child.func, "id", None) == "isinstance"
-                  and len(child.args) == 2):
-                types = child.args[1]
-                types = types.elts if isinstance(types, ast.Tuple) else [types]
-                found = any(getattr(t, "id", None) == "int" for t in types)
-            if found:
-                uses.append((".".join(scope), child.lineno))
-            visit(child, scope)
-
-    visit(ast.parse(source), ())
-    return uses
+def _integer_rule(node, params) -> bool:
+    """``operator.index``, ``isinstance(<arg>, int)`` (alone or in a tuple of types)
+    and ``int(<a parameter of the enclosing def>)``."""
+    if isinstance(node, ast.Attribute):
+        return node.attr == "index" and getattr(node.value, "id", None) == "operator"
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "operator" and any(a.name == "index" for a in node.names)
+    if not isinstance(node, ast.Call):
+        return False
+    called, args = getattr(node.func, "id", None), node.args
+    if called == "isinstance" and len(args) == 2:
+        types = args[1].elts if isinstance(args[1], ast.Tuple) else [args[1]]
+        return any(getattr(t, "id", None) == "int" for t in types)
+    return called == "int" and len(args) == 1 and getattr(args[0], "id", None) in params
 
 
 class TestOneIntegerRule:
     def test_integer_arguments_are_checked_in_check_int_only(self):
-        # every count, index, seed, rotation and head goes through errors.check_int
-        sites = {(path.stem, scope)
-                 for path in sorted(Path(randseries.__file__).parent.glob("*.py"))
-                 for scope, _ in _integer_rule_uses(path.read_text(encoding="utf-8"))}
+        # every count, index, position, seed, rotation and head goes through errors.check_int
+        sites = {(module, scope) for module, scope, _ in _rule_sites(_integer_rule)}
         assert sites == {("errors", "check_int")}
 
     def test_the_guard_sees_each_form(self):
         source = ("def f(n):\n    return operator.index(n)\n"
                   "class C:\n    def g(self, n):\n        return isinstance(n, (float, int))\n"
-                  "from operator import index\nok = isinstance(n, bool) or isinstance(n, int)\n")
-        assert [scope for scope, _ in _integer_rule_uses(source)] == ["f", "C.g", "", ""]
+                  "from operator import index\nok = isinstance(n, bool) or isinstance(n, int)\n"
+                  "def h(lo, hi=2):\n    m = len(lo)\n    return int(hi), int(m), int(lo[0])\n")
+        assert [scope for _, scope, _ in _rule_sites(_integer_rule, {"m": source})] == [
+            "f", "C.g", "", "", "h"]
 
 
 _REAL_RULE_NAMES = {"math": {"isfinite", "isnan", "isinf"}, "numbers": {"Real"}}
 
 
-def _real_rule_uses(source: str) -> list[tuple[str, int]]:
-    """(enclosing def or class path, line) of every ``math.isfinite``, ``math.isnan``,
-    ``math.isinf`` and ``numbers.Real``, as an attribute or imported by name, in ``source``."""
-    uses = []
-
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                visit(child, scope + (child.name,))
-                continue
-            found = False
-            if isinstance(child, ast.Attribute) and isinstance(child.value, ast.Name):
-                found = child.attr in _REAL_RULE_NAMES.get(child.value.id, ())
-            elif isinstance(child, ast.ImportFrom):
-                found = any(a.name in _REAL_RULE_NAMES.get(child.module, ()) for a in child.names)
-            if found:
-                uses.append((".".join(scope), child.lineno))
-            visit(child, scope)
-
-    visit(ast.parse(source), ())
-    return uses
+def _real_rule(node, params) -> bool:
+    """``math.isfinite``, ``math.isnan``, ``math.isinf`` and ``numbers.Real``, as an
+    attribute or imported by name."""
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+        return node.attr in _REAL_RULE_NAMES.get(node.value.id, ())
+    if isinstance(node, ast.ImportFrom):
+        return any(a.name in _REAL_RULE_NAMES.get(node.module, ()) for a in node.names)
+    return False
 
 
 class TestOneRealRule:
     def test_real_arguments_are_checked_in_check_real_only(self):
         # every x, eps, threshold, depth, target and bound goes through errors.check_real
-        sites = {(path.stem, scope)
-                 for path in sorted(Path(randseries.__file__).parent.glob("*.py"))
-                 for scope, _ in _real_rule_uses(path.read_text(encoding="utf-8"))}
+        sites = {(module, scope) for module, scope, _ in _rule_sites(_real_rule)}
         assert sites == {("errors", "check_real")}
 
     def test_the_guard_sees_each_form(self):
@@ -552,7 +553,8 @@ class TestOneRealRule:
                   "class C:\n    def g(self, x):\n        return math.isnan(x) or math.isinf(x)\n"
                   "from math import isfinite, log\nfrom numbers import Real\n"
                   "ok = isinstance(x, numbers.Real) and math.log(x) < 0\n")
-        assert [scope for scope, _ in _real_rule_uses(source)] == ["f", "C.g", "C.g", "", "", ""]
+        assert [scope for _, scope, _ in _rule_sites(_real_rule, {"m": source})] == [
+            "f", "C.g", "C.g", "", "", ""]
 
 
 def _counting(monkeypatch, module, name) -> list:
@@ -624,37 +626,32 @@ class TestDeepestPointBudget:
 _BLAS_NAMES = {"dot", "matmul", "einsum", "inner", "tensordot", "vdot", "linalg", "@"}
 
 
-def _blas_uses(source: str) -> list[tuple[int, str]]:
-    """(line, name) of every BLAS-backed name, import or ``@`` product in ``source``."""
-    uses = []
-    for node in ast.walk(ast.parse(source)):
-        name = None
-        if isinstance(node, ast.Attribute):
-            name = node.attr
-        elif isinstance(node, ast.Name):
-            name = node.id
-        elif isinstance(node, ast.alias):
-            name = node.name.rpartition(".")[2]
-        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
-            name = "@"
-        if name in _BLAS_NAMES:
-            uses.append((getattr(node, "lineno", 0), name))
-    return uses
+def _blas_use(node, params) -> bool:
+    """A BLAS-backed name, import or ``@`` product."""
+    name = None
+    if isinstance(node, ast.Attribute):
+        name = node.attr
+    elif isinstance(node, ast.Name):
+        name = node.id
+    elif isinstance(node, ast.alias):
+        name = node.name.rpartition(".")[2]
+    elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+        name = "@"
+    return name in _BLAS_NAMES
 
 
 class TestNoBlas:
     def test_no_blas_backed_products_in_the_package(self):
         # results must not depend on the BLAS build or its thread count, so every
         # sum is formed by elementwise passes and pairwise or fsum reductions
-        uses = {path.stem: _blas_uses(path.read_text(encoding="utf-8"))
-                for path in sorted(Path(randseries.__file__).parent.glob("*.py"))}
-        assert {module: found for module, found in uses.items() if found} == {}
+        assert _rule_sites(_blas_use) == []
 
     def test_the_guard_sees_each_form(self):
+        # one form a line (linalg on lines 1 and 6); the last line has none
         source = ("import numpy.linalg\nfrom numpy import dot\nc = a @ b\nc @= a\n"
-                  "np.einsum('i,i', a, b)\nnp.linalg.norm(a)\ninner(a, b)\n")
-        assert {name for _, name in _blas_uses(source)} == {"linalg", "dot", "@", "einsum",
-                                                            "inner"}
+                  "np.einsum('i,i', a, b)\nnp.linalg.norm(a)\ninner(a, b)\nnp.sum(a * b)\n")
+        assert [line for _, _, line in _rule_sites(_blas_use, {"m": source})] == [
+            1, 2, 3, 4, 5, 6, 7]
 
 
 def _one_shot_pair_moments(child):
